@@ -6,7 +6,7 @@ semicolon-separated F_p polynomial strings in u-layer order, e.g.
 `x^2+1; 1` for x^2+1+u.  JSON code files remain the canonical format.
 
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded, 4 internal invariant violated (a bug).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .chainring import RkPoly
 from .code import CyclicCode, code_from_generators, load_code_file
 from .distance import closed_form_distance
 from .gfp import BudgetError, FpPoly, PrimeParams, factor_xn_minus_1
+from .linalg import InvariantError
 from .properties import SUITES, run_suite
 from .structure import (canonical_form, collapse_coprime, enumerate_coprime,
                         is_free, minimal_spanning_set, rank, verify_constraints)
@@ -132,7 +133,8 @@ def build_report(code: CyclicCode, distance_mode: str = "auto",
     free, witness = is_free(code)
     creport = verify_constraints(code)
     dual = code.dual()
-    assert code.dim + dual.dim == params.k * params.n
+    if code.dim + dual.dim != params.k * params.n:
+        raise InvariantError("code and dual dimensions do not add up to kn")
     if code.dim == 0:
         spanning = None
     else:
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ A code is pinned down by its footprint: the reduced row echelon basis of the
 code viewed as an F_p-subspace of F_p^(kn), with coordinate i, layer j in
 column i*k + j.  The footprint is canonical, so it is the equality, hashing
 and sorting key; the stored generator list is presentation only.  Every
-construction asserts closure of the footprint under the cyclic shift
-(x-multiplication) and under u-multiplication.
+construction checks closure of the footprint under the cyclic shift
+(x-multiplication) and under u-multiplication.  The torsion tower and the
+canonical lifted generators are read off one more echelon form of the
+footprint, computed once per code (`CyclicCode.level_generators`).
 """
 
 from __future__ import annotations
@@ -17,23 +19,32 @@ import numpy as np
 
 from . import linalg
 from .chainring import RkPoly
-from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight, poly_gcd
+from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight
+from .linalg import InvariantError
 
 __all__ = ["CyclicCode", "TorsionTower", "code_from_generators",
            "code_to_json", "code_from_json", "load_code_file"]
 
 
 def _shift_x(vec: np.ndarray, k: int) -> np.ndarray:
-    # multiply by x mod x^n - 1: coordinate blocks rotate one step
-    return np.roll(vec, k)
+    # multiply by x mod x^n - 1: coordinate blocks rotate one step (row-wise)
+    return np.roll(vec, k, axis=-1)
 
 
 def _shift_u(vec: np.ndarray, n: int, k: int) -> np.ndarray:
-    # multiply by u: layers shift up inside each coordinate block
-    m = vec.reshape(n, k)
+    # multiply by u: layers shift up inside each coordinate block (row-wise)
+    m = vec.reshape(vec.shape[:-1] + (n, k))
     out = np.zeros_like(m)
-    out[:, 1:] = m[:, :-1]
-    return out.reshape(-1)
+    out[..., 1:] = m[..., :-1]
+    return out.reshape(vec.shape)
+
+
+def _u_multiples(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    # rows, u*rows, ..., u^(k-1)*rows, stacked
+    out = [rows]
+    for _ in range(k - 1):
+        out.append(_shift_u(out[-1], n, k))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,8 @@ class TorsionTower:
 class CyclicCode:
     """An ideal of R_k[x]/(x^n - 1); immutable once constructed."""
 
-    __slots__ = ("params", "generators", "footprint", "pivots", "dim", "_tower")
+    __slots__ = ("params", "generators", "footprint", "pivots", "dim",
+                 "_levels", "_tower", "_canonical")
 
     def __init__(self, params: PrimeParams, generators, footprint: np.ndarray, pivots):
         self.params = params
@@ -71,13 +83,15 @@ class CyclicCode:
         self.footprint = footprint
         self.pivots = list(pivots)
         self.dim = int(footprint.shape[0])
+        self._levels = None
         self._tower = None
+        self._canonical = None
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_rows(cls, params: PrimeParams, rows, generators=None) -> "CyclicCode":
-        """Build from spanning F_p row vectors; asserts shift and u closure."""
+        """Build from spanning F_p row vectors; checks shift and u closure."""
         k, n = params.k, params.n
         M = linalg.as_matrix(list(rows), k * n, params.p)
         R, piv = linalg.rref(M, params.p)
@@ -89,11 +103,11 @@ class CyclicCode:
 
     def _assert_closed(self):
         p, k, n = self.params.p, self.params.k, self.params.n
-        for row in self.footprint:
-            assert linalg.in_rowspace(self.footprint, self.pivots, _shift_x(row, k), p), \
-                "footprint not closed under the cyclic shift"
-            assert linalg.in_rowspace(self.footprint, self.pivots, _shift_u(row, n, k), p), \
-                "footprint not closed under u-multiplication"
+        F = self.footprint
+        if linalg.reduce_vector(F, self.pivots, _shift_x(F, k), p).any():
+            raise InvariantError("footprint not closed under the cyclic shift")
+        if linalg.reduce_vector(F, self.pivots, _shift_u(F, n, k), p).any():
+            raise InvariantError("footprint not closed under u-multiplication")
 
     # -- identity --------------------------------------------------------
 
@@ -127,33 +141,42 @@ class CyclicCode:
         vec = np.array(w.to_vector(), dtype=np.int64)
         return linalg.in_rowspace(self.footprint, self.pivots, vec, self.params.p)
 
-    def _torsion_rows(self, i: int) -> np.ndarray:
-        """Basis rows of Tor_i: layer-i parts of codewords with valuation >= i."""
-        p, k, n = self.params.p, self.params.k, self.params.n
-        if self.dim == 0:
-            return np.zeros((0, n), dtype=np.int64)
-        F = self.footprint
-        low = [c for c in range(k * n) if c % k < i]
-        lam = linalg.nullspace(F[:, low].T, p)
-        V = (lam @ F) % p
-        return V[:, [c for c in range(k * n) if c % k == i]]
+    def level_generators(self) -> tuple:
+        """Per level i, the codeword of u-valuation i whose layer i is the monic
+        torsion generator g_i and whose layers j > i have degree < deg g_j;
+        None when Tor_i is zero.
+
+        It is the last row of layer block i in the footprint's echelon form
+        with columns ordered layer-major, highest degree first: block i's
+        pivots restricted to layer i are Tor_i's echelon basis, whose last row
+        is g_i, and the pivots of block j sit at degrees deg g_j .. n-1.
+        """
+        if self._levels is None:
+            p, k, n = self.params.p, self.params.k, self.params.n
+            order = [i * k + j for j in range(k) for i in reversed(range(n))]
+            E, piv = linalg.rref(self.footprint[:, order], p)
+            rows = np.empty_like(E)
+            rows[:, order] = E
+            last = {c // n: r for r, c in enumerate(piv)}
+            self._levels = tuple(
+                RkPoly.from_vector(rows[last[i]].tolist(), self.params) if i in last else None
+                for i in range(k))
+        return self._levels
 
     def torsion_tower(self) -> TorsionTower:
         if self._tower is not None:
             return self._tower
         p, k, n = self.params.p, self.params.k, self.params.n
         xn1 = FpPoly.xn_minus_1(n, p)
-        gens = []
-        for i in range(k):
-            g = xn1
-            for row in self._torsion_rows(i):
-                g = poly_gcd(g, FpPoly(row.tolist(), p))
-            gens.append(g.monic())
+        gens = [xn1 if g is None else g.ulayers[i]
+                for i, g in enumerate(self.level_generators())]
         for i in range(k - 1):
-            assert (gens[i] % gens[i + 1]).is_zero, "torsion divisibility chain broken"
-        assert (xn1 % gens[0]).is_zero
-        assert sum(n - g.degree for g in gens) == self.dim, \
-            "torsion degrees inconsistent with code dimension"
+            if not (gens[i] % gens[i + 1]).is_zero:
+                raise InvariantError("torsion divisibility chain broken")
+        if not (xn1 % gens[0]).is_zero:
+            raise InvariantError("torsion generator does not divide x^n - 1")
+        if sum(n - g.degree for g in gens) != self.dim:
+            raise InvariantError("torsion degrees inconsistent with code dimension")
         self._tower = TorsionTower(self.params, tuple(gens))
         return self._tower
 
@@ -225,15 +248,15 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
         if g.params != params:
             raise ValueError("parameter mismatch among generators")
         reduced.append(g.mod_xn())
-    rows = []
-    for g in reduced:
-        v = np.array(g.to_vector(), dtype=np.int64)
-        for _ in range(k):
-            w = v
-            for _ in range(n):
-                rows.append(w)
-                w = _shift_x(w, k)
-            v = _shift_u(v, n, k)
+    rows = _u_multiples(linalg.as_matrix([g.to_vector() for g in reduced], k * n, params.p), n, k)
+    # doubling: if the rows span the x^i-multiples for i < m, then they and
+    # their rotations by m coordinate blocks span those for i < 2m; reducing
+    # whenever there are more rows than columns keeps the stack small
+    m = 1
+    while m < n:
+        rows, m = np.concatenate([rows, np.roll(rows, k * m, axis=-1)]), 2 * m
+        if len(rows) > k * n:
+            rows, _ = linalg.rref(rows, params.p)
     return CyclicCode.from_rows(params, rows, generators=reduced)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .code import CyclicCode
 from .gfp import FpPoly
+from .linalg import InvariantError
 
 __all__ = ["PAdicExpansion", "classify_p_adic", "distance_power_length",
            "product_law_check", "closed_form_distance"]
@@ -35,7 +36,8 @@ class PAdicExpansion:
     q: int
 
     def __post_init__(self):
-        assert sum(d * self.p ** i for i, d in enumerate(reversed(self.digits))) == self.m
+        if sum(d * self.p ** i for i, d in enumerate(reversed(self.digits))) != self.m:
+            raise InvariantError("base-p digits do not expand to m")
 
 
 def classify_p_adic(m: int, p: int, l: int) -> PAdicExpansion:

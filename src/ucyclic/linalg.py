@@ -18,6 +18,10 @@ class BudgetError(ValueError):
         self.budget = budget
 
 
+class InvariantError(AssertionError):
+    """An internal consistency check failed; raised explicitly so it survives `python -O`."""
+
+
 def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
     """Stack row vectors into an (m, ncols) int64 matrix reduced mod p."""
     if len(rows) == 0:
@@ -47,20 +51,28 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             M[[r, i]] = M[[i, r]]
         M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        # only rows with an entry in column c change, and only from column c
         col = M[:, c].copy()
         col[r] = 0
-        M = (M - np.outer(col, M[r])) % p
+        rows = np.nonzero(col)[0]
+        M[rows, c:] = (M[rows, c:] - np.outer(col[rows], M[r, c:])) % p
         pivots.append(c)
         r += 1
     return M[:r], pivots
 
 
 def reduce_vector(R: np.ndarray, pivots, v, p: int) -> np.ndarray:
-    """Residual of v after elimination against RREF rows; zero iff v lies in the row space."""
+    """Residual of v (a vector, or a matrix of row vectors) after elimination
+    against RREF rows; zero iff v lies in the row space."""
     v = np.asarray(v, dtype=np.int64) % p
     if len(pivots) == 0:
         return v
-    return (v - v[list(pivots)] @ R) % p
+    # the pivot columns of R are unit vectors, so they reduce to zero
+    free = np.ones(v.shape[-1], dtype=bool)
+    free[list(pivots)] = False
+    res = np.zeros_like(v)
+    res[..., free] = (v[..., free] - v[..., list(pivots)] @ R[:, free]) % p
+    return res
 
 
 def in_rowspace(R: np.ndarray, pivots, v, p: int) -> bool:
@@ -87,22 +99,6 @@ def nullspace(mat, p: int) -> np.ndarray:
         for i, c in enumerate(pivots):
             basis[idx, c] = (-int(R[i, f])) % p
     return basis
-
-
-def solve(mat, rhs, p: int) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs over F_p, or None if the system is inconsistent."""
-    M = np.array(mat, dtype=np.int64) % p
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1) % p
-    R, pivots = rref(np.hstack([M, b]), p)
-    ncols = M.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, ncols]
-    return x
 
 
 def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = 1 << 24,

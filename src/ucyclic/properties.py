@@ -278,7 +278,7 @@ def check_distance_monotone(rng, trials, budget) -> CheckResult:
             prev = 0
             for t in range(1, n):
                 if p ** (n - t) > budget:
-                    break
+                    continue
                 d = fp_cyclic_min_weight(xm1 ** t, params, budget=budget)
                 res.record(d >= prev, {"p": p, "l": l, "t_k": t})
                 prev = d

@@ -1,11 +1,10 @@
 """Canonical generator towers, freeness, rank and spanning sets, enumeration.
 
-The canonical form of a code lifts each torsion generator that contributes new
-content to a codeword of matching u-valuation, then reduces every higher
-u-layer of each lifted generator below the degree of the torsion generator at
-that layer.  Reconstruction equality against the original footprint is
-asserted on every extraction, so the normalization can never silently change
-the code.
+The canonical form takes, for each tower level that contributes new content,
+the codeword of u-valuation i whose layer i is the torsion generator g_i and
+whose higher layers j lie below deg g_j (`CyclicCode.level_generators`).  It
+is built once per code, and reconstruction equality against the footprint is
+checked then, so the normalization can never silently change the code.
 """
 
 from __future__ import annotations
@@ -14,12 +13,12 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
 from . import linalg
 from .chainring import RkPoly
-from .code import CyclicCode, TorsionTower, code_from_generators
+from .code import (CyclicCode, TorsionTower, _shift_u, _u_multiples,
+                   code_from_generators)
 from .gfp import FpPoly, PrimeParams, factor_xn_minus_1
+from .linalg import InvariantError
 
 __all__ = [
     "CanonicalForm", "SpanningSet", "ConstraintCheck", "ConstraintReport",
@@ -72,61 +71,29 @@ def _xn1(params: PrimeParams) -> FpPoly:
     return FpPoly.xn_minus_1(params.n, params.p)
 
 
-def _valuation_subspace(code: CyclicCode, i: int) -> np.ndarray:
-    """Rows spanning {c in C : u-valuation(c) >= i} inside F_p^(kn)."""
-    p, k, n = code.params.p, code.params.k, code.params.n
-    if code.dim == 0:
-        return np.zeros((0, k * n), dtype=np.int64)
-    low = [c for c in range(k * n) if c % k < i]
-    lam = linalg.nullspace(code.footprint[:, low].T, p)
-    return (lam @ code.footprint) % p
-
-
-def _lift_level(code: CyclicCode, i: int, gen_i: FpPoly) -> RkPoly:
-    """A codeword of u-valuation exactly i whose layer i equals gen_i."""
-    params = code.params
-    clean = RkPoly.from_fp(gen_i, params, level=i)
-    if code.contains(clean):
-        return clean
-    p, k, n = params.p, params.k, params.n
-    V = _valuation_subspace(code, i)
-    cols = [c for c in range(k * n) if c % k == i]
-    target = np.array(gen_i.padded(n), dtype=np.int64)
-    mu = linalg.solve(V[:, cols].T, target, p)
-    assert mu is not None, "torsion generator not reachable at its own level"
-    vec = (mu @ V) % p
-    return RkPoly.from_vector(vec.tolist(), params)
-
-
 def canonical_form(code: CyclicCode) -> CanonicalForm:
-    """Extract the canonical tower of lifted generators for the code."""
+    """The canonical tower of lifted generators, built and checked once per code."""
+    if code._canonical is not None:
+        return code._canonical
     params = code.params
     tower = code.torsion_tower()
     xn1 = _xn1(params)
-    present = []
-    for i, g in enumerate(tower.gens):
-        prev = tower.gens[i - 1] if i else xn1
-        if g != prev:
-            present.append(i)
     lifted: list[RkPoly | None] = [None] * params.k
-    for i in reversed(present):
-        w = _lift_level(code, i, tower.gens[i])
-        # reduce higher layers below the degree of the torsion generator there
-        for j in range(i + 1, params.k):
-            layer = w.ulayers[j]
-            gj = tower.gens[j]
-            if layer.degree >= gj.degree:
-                q, _ = divmod(layer, gj)
-                lvl = max(l for l in present if i <= l <= j)
-                base = w if lvl == i else lifted[lvl]
-                w = (w - RkPoly.from_fp(q, params).mul_mod(base.times_u(j - lvl))).mod_xn()
-        assert w.u_valuation() == i and w.ulayers[i] == tower.gens[i]
+    present = []
+    for i, w in enumerate(code.level_generators()):
+        prev = tower.gens[i - 1] if i else xn1
+        if tower.gens[i] == prev:
+            continue
+        if w.u_valuation() != i or w.ulayers[i] != tower.gens[i]:
+            raise InvariantError(f"lifted generator {i} has the wrong valuation or layer")
+        present.append(i)
         lifted[i] = w
     gens = [g for g in lifted if g is not None]
-    assert code_from_generators(params, gens) == code, \
-        "lifted generators do not reconstruct the code"
+    if code_from_generators(params, gens) != code:
+        raise InvariantError("lifted generators do not reconstruct the code")
     shape = _classify_shape(code, tower, present, lifted)
-    return CanonicalForm(tower, tuple(lifted), shape)
+    code._canonical = CanonicalForm(tower, tuple(lifted), shape)
+    return code._canonical
 
 
 def _classify_shape(code, tower, present, lifted) -> str:
@@ -149,7 +116,7 @@ def is_free(code: CyclicCode) -> tuple[bool, RkPoly | None]:
     """Whether the code is a free R_k-module, with the principal witness.
 
     Free means all torsion generators coincide; the witness is then the single
-    lifted generator and it must divide x^n - 1 in R_k, which is asserted.
+    lifted generator and it must divide x^n - 1 in R_k, which is checked.
     The zero code is free of rank 0 and has no witness.
     """
     tower = code.torsion_tower()
@@ -159,9 +126,8 @@ def is_free(code: CyclicCode) -> tuple[bool, RkPoly | None]:
         return True, None
     cf = canonical_form(code)
     witness = cf.lifted[0]
-    assert witness is not None
-    assert witness.divides(RkPoly.from_fp(_xn1(code.params), code.params)), \
-        "free witness fails to divide x^n - 1 in R_k"
+    if witness is None or not witness.divides(RkPoly.from_fp(_xn1(code.params), code.params)):
+        raise InvariantError("free witness fails to divide x^n - 1 in R_k")
     return True, witness
 
 
@@ -172,8 +138,8 @@ def collapse_coprime(code: CyclicCode) -> RkPoly:
         raise ValueError("collapse requires n coprime to p")
     tower = code.torsion_tower()
     h = RkPoly(tuple(tower.gens), params).mod_xn()
-    assert code_from_generators(params, [h]) == code, \
-        "collapsed generator does not reproduce the code"
+    if code_from_generators(params, [h]) != code:
+        raise InvariantError("collapsed generator does not reproduce the code")
     return h
 
 
@@ -211,7 +177,7 @@ class ConstraintReport:
 def verify_constraints(code: CyclicCode) -> ConstraintReport:
     """Divisibility report for the canonical form's mixing layers.
 
-    The torsion chain itself is mandatory (asserted inside torsion_tower); the
+    The torsion chain itself is mandatory (checked inside torsion_tower); the
     mixing-layer conditions are evaluated and reported in both readings, never
     enforced.  The zero code yields an empty report.
     """
@@ -256,8 +222,8 @@ def minimal_spanning_set(code: CyclicCode) -> SpanningSet:
     """x^j-multiples of the lifted generators, one run per torsion degree gap.
 
     Level i contributes x^j * G_i for j below (previous tower degree - its
-    own), reading n in front of level 0.  Both the R_k-span equality and
-    leave-one-out minimality are asserted.
+    own), reading n in front of level 0.  The R_k-span equality is checked,
+    and minimality by Nakayama's criterion (`_irredundant`).
     """
     if code.dim == 0:
         raise ValueError("zero code has no spanning set")
@@ -269,33 +235,35 @@ def minimal_spanning_set(code: CyclicCode) -> SpanningSet:
         count = (params.n if i == 0 else degs[i - 1]) - degs[i]
         for j in range(count):
             elements.append(cf.lifted[i].shift_x(j).mod_xn())
-    assert len(elements) == params.n - degs[-1]
-    assert _module_span(params, elements) == code, "spanning set misses the code"
-    for drop in range(len(elements)):
-        rest = elements[:drop] + elements[drop + 1:]
-        assert _module_span(params, rest) != code, \
-            "spanning set is not minimal"
+    if len(elements) != params.n - degs[-1]:
+        raise InvariantError("spanning set size differs from the rank")
+    if _module_span(params, elements) != code:
+        raise InvariantError("spanning set misses the code")
+    if not _irredundant(code, elements):
+        raise InvariantError("spanning set is not minimal")
     return SpanningSet(tuple(elements))
+
+
+def _irredundant(code: CyclicCode, elements) -> bool:
+    """Whether a set spanning the code as an R_k-module has no redundant member.
+
+    By Nakayama's lemma over the local ring R_k, a spanning set is
+    irredundant iff its size is dim C/uC = dim C - dim uC.
+    """
+    k, n = code.params.k, code.params.n
+    _, piv = linalg.rref(_shift_u(code.footprint, n, k), code.params.p)
+    return len(elements) == code.dim - len(piv)
 
 
 def _module_span(params: PrimeParams, elements) -> CyclicCode:
     """The R_k-linear span (no x-multiples) of the elements, as a code object.
 
-    Span rows are u^m * e over F_p; closure assertions are skipped since a
-    bare module span need not be an ideal.
+    Span rows are u^m * e over F_p; closure checks are skipped since a bare
+    module span need not be an ideal.
     """
-    rows = []
-    for e in elements:
-        v = np.array(e.to_vector(), dtype=np.int64)
-        for _ in range(params.k):
-            rows.append(v)
-            n, k = params.n, params.k
-            m = v.reshape(n, k)
-            out = np.zeros_like(m)
-            out[:, 1:] = m[:, :-1]
-            v = out.reshape(-1)
-    M = linalg.as_matrix(rows, params.k * params.n, params.p)
-    R, piv = linalg.rref(M, params.p)
+    k, n = params.k, params.n
+    v = linalg.as_matrix([e.to_vector() for e in elements], k * n, params.p)
+    R, piv = linalg.rref(_u_multiples(v, n, k), params.p)
     return CyclicCode(params, (), R, piv)
 
 

@@ -7,12 +7,15 @@ printing the exact disagreement catalog.  Everything else must pass.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ucyclic
 from ucyclic.chainring import RkPoly
 from ucyclic.cli import main
 from ucyclic.code import code_from_generators
@@ -283,8 +286,11 @@ def test_criterion_9_dual_plumbing(capsys):
 
 def test_criterion_10_determinism(capsys):
     def run(args):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(ucyclic.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "ucyclic", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
         return proc.returncode, proc.stdout
 
     commands = [

@@ -1,14 +1,19 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ucyclic
+from ucyclic import cli, structure
 from ucyclic.chainring import RkPoly
-from ucyclic.cli import (format_fp_poly, format_rk_poly, main, parse_budget,
-                         parse_fp_poly, parse_rk_poly)
+from ucyclic.cli import (build_report, format_fp_poly, format_rk_poly, main,
+                         parse_budget, parse_fp_poly, parse_rk_poly)
 from ucyclic.code import code_from_generators, code_from_json_dict, code_to_json
 from ucyclic.gfp import FpPoly, PrimeParams
+from ucyclic.linalg import InvariantError
 
 
 def run_cli(args, capsys):
@@ -173,6 +178,37 @@ class TestAnalyzeCommand:
         rc, _, err = run_cli(["analyze"], capsys)
         assert rc == 2
 
+    def test_invariant_error_exit_4(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantError("lifted generators do not reconstruct the code")
+        monkeypatch.setattr(cli, "build_report", broken)
+        rc, out, err = run_cli(["analyze", "--p", "2", "--k", "1", "--n", "3",
+                                "--gen", "x+1"], capsys)
+        assert rc == 4
+        assert out == ""
+        assert "reconstruct" in err
+
+    def test_report_reconstructs_once(self, monkeypatch):
+        # three present levels; the shape, freeness, constraints and spanning
+        # set all reuse the canonical form checked on first use
+        pp = PrimeParams(2, 3, 4)
+        code = code_from_generators(pp, [
+            RkPoly([FpPoly([1, 1, 1, 1], 2), FpPoly([0, 1], 2)], pp),
+            RkPoly([[], FpPoly([1, 0, 1], 2)], pp),
+            RkPoly([[], [], FpPoly([1, 1], 2)], pp)])
+        assert structure.canonical_form(code).present_levels == (0, 1, 2)
+        calls = []
+        real = structure.code_from_generators
+
+        def counting(params, gens):
+            calls.append(len(gens))
+            return real(params, gens)
+        monkeypatch.setattr(structure, "code_from_generators", counting)
+        fresh = code_from_generators(pp, list(code.generators))
+        build_report(fresh)
+        build_report(fresh)
+        assert calls == [3]
+
 
 class TestEnumerateCommand:
     def test_p3_k4_n5(self, capsys):
@@ -225,8 +261,11 @@ class TestVerifyCommand:
 
 class TestDeterminism:
     def _run(self, args):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(ucyclic.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "ucyclic", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
         return proc.returncode, proc.stdout
 
     @pytest.mark.parametrize("args", [

@@ -1,12 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ucyclic
 from ucyclic.chainring import RkElem, RkPoly
-from ucyclic.code import (code_from_generators, code_from_json,
+from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
+from ucyclic.linalg import InvariantError
 
 P345 = PrimeParams(3, 4, 5)
 G1 = FpPoly([2, 1], 3)
@@ -72,6 +79,37 @@ class TestConstruction:
             w = RkPoly.from_vector(row.tolist(), P345)
             assert code.contains(w.mul_mod(x))
             assert code.contains(w.mul_mod(u))
+
+
+class TestInvariants:
+    def test_not_closed_under_shift(self):
+        with pytest.raises(InvariantError, match="cyclic shift"):
+            CyclicCode.from_rows(PrimeParams(2, 1, 3), [[1, 0, 0]])
+
+    def test_not_closed_under_u(self):
+        with pytest.raises(InvariantError, match="u-multiplication"):
+            CyclicCode.from_rows(PrimeParams(2, 2, 1), [[1, 0]])
+
+    def test_tower_of_bare_subspace(self):
+        # the span of 1 alone is no ideal: Tor_0 would be <1>, of dimension 3
+        bare = CyclicCode(PrimeParams(2, 1, 3), (), np.array([[1, 0, 0]]), [0])
+        with pytest.raises(InvariantError, match="dimension"):
+            bare.torsion_tower()
+
+    def test_survives_optimize_flag(self):
+        script = ("from ucyclic.code import CyclicCode\n"
+                  "from ucyclic.gfp import PrimeParams\n"
+                  "from ucyclic.linalg import InvariantError\n"
+                  "try:\n"
+                  "    CyclicCode.from_rows(PrimeParams(2, 1, 3), [[1, 0, 0]])\n"
+                  "except InvariantError:\n"
+                  "    print('raised')\n")
+        src = str(Path(ucyclic.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised"
 
 
 class TestContains:

@@ -9,8 +9,9 @@ from ucyclic.properties import (chain_code, random_chain, random_code,
                                 random_params)
 from ucyclic.structure import (SHAPE_FULL_TOWER, SHAPE_PRINCIPAL,
                                SHAPE_PRINCIPAL_DIVIDING, SHAPE_TWO_GENERATOR,
-                               canonical_form, cardinality_formula_check,
-                               collapse_coprime, enumerate_coprime, is_free,
+                               _irredundant, _module_span, canonical_form,
+                               cardinality_formula_check, collapse_coprime,
+                               enumerate_coprime, is_free,
                                minimal_spanning_set, rank, verify_constraints)
 
 P345 = PrimeParams(3, 4, 5)
@@ -204,6 +205,72 @@ class TestMinimalSpanningSet:
             ss = minimal_spanning_set(code)
             assert ss.cardinality == rank(code)
             assert ss.cardinality == params.n - code.torsion_tower().gens[-1].degree
+
+
+def leave_one_out_irredundant(code, elements):
+    """Reference minimality test: no element can be dropped from the span."""
+    return all(_module_span(code.params, elements[:d] + elements[d + 1:]) != code
+               for d in range(len(elements)))
+
+
+class TestNakayamaMinimality:
+    def test_agrees_with_leave_one_out(self):
+        rng = random.Random(71)
+        verdicts = []
+        for _ in range(25):
+            params = random_params(rng, kmax=3, nmax=6)
+            code = random_code(rng, params)
+            if code.dim == 0:
+                continue
+            minimal = list(minimal_spanning_set(code).elements)
+            shifts = [g.shift_x(j).mod_xn() for g in code.generators
+                      for j in range(params.n)]
+            for elements in (minimal, minimal + [minimal[-1].times_u()], shifts):
+                assert _module_span(params, elements) == code
+                verdict = _irredundant(code, elements)
+                assert verdict == leave_one_out_irredundant(code, elements)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+
+def edge_code(n, seed):
+    """A code at the envelope edge p = 3, k = 8: one generator per distinct
+    tower entry, u^i (g_i + sum_j u^(j-i) m_ij), with each mixing layer m_ij
+    a random multiple of the top entry."""
+    p, one = 3, FpPoly.one(3)
+    params = PrimeParams(p, 8, n)
+    if n == 64:  # coprime: x^64 - 1 = (x - 1)(x + 1)(x^2 + 1) ... (x^32 + 1)
+        b = [FpPoly.monomial(1, e, p) + one for e in (32, 16, 8, 4)]
+        chain = [b[0] * b[1] * b[2] * b[3]] * 2 + [b[0] * b[1] * b[2]] * 3 + [b[0]] * 3
+    else:  # n = 63: x^63 - 1 = (x - 1)^9 (x^6 + ... + 1)^9
+        xm, phi = FpPoly([-1, 1], p), FpPoly([1] * 7, p)
+        chain = [xm ** 8 * phi ** 9] * 2 + [xm ** 5 * phi ** 8] * 3 + [xm * phi ** 7] * 3
+    rng = random.Random(seed)
+    gens = []
+    for i, g in enumerate(chain):
+        if i and g == chain[i - 1]:
+            continue
+        mixing = [(chain[-1] * FpPoly([rng.randrange(p) for _ in range(n)], p))
+                  .mod_xn_minus_1(n) for _ in range(i + 1, 8)]
+        gens.append(RkPoly([FpPoly.zero(p)] * i + [g] + mixing, params))
+    return code_from_generators(params, gens)
+
+
+class TestEnvelopeEdge:
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_lifts_reduced_and_reconstruct(self, n):
+        code = edge_code(n, seed=5)
+        cf = canonical_form(code)
+        degs = cf.tower.degrees
+        mixed = 0
+        for i in cf.present_levels:
+            for j in range(i + 1, 8):
+                layer = cf.lifted[i].ulayers[j]
+                assert layer.degree < degs[j]
+                mixed += not layer.is_zero
+        assert code_from_generators(code.params, list(cf.generators)) == code
+        # with p | n the lifts keep nonzero mixing layers; coprime lifts are pure
+        assert (mixed > 0) == (n == 63)
 
 
 class TestCardinalityFormula:
