@@ -93,36 +93,25 @@ def parse_budget(text: str) -> int:
 
 # -- analysis report -------------------------------------------------------
 
-_DISTANCE_ORDER = {
-    "auto": ("closed-form", "torsion", "brute-force"),
-    "closed-form": ("closed-form",),
-    "torsion": ("torsion",),
-    "brute-force": ("brute-force",),
-}
-
-
 def _resolve_distance(code: CyclicCode, mode: str, budget: int) -> dict:
+    """One method per mode; `auto` falls back from the closed form, when it is
+    inapplicable, to the torsion search.  Brute force never answers where
+    torsion ran out of budget (it enumerates at least as many codewords), so
+    `auto` does not try it."""
     if code.dim == 0:
         return {"value": None, "method": None, "note": "undefined (zero code)"}
-    attempts = _DISTANCE_ORDER[mode]
-    last_error = None
-    for method in attempts:
+    if mode == "auto":
         try:
-            if method == "closed-form":
-                value = closed_form_distance(code)
-            elif method == "torsion":
-                value = code.min_distance(budget=budget)
-            else:
-                value = code.min_distance_bruteforce(budget=budget)
-            return {"value": value, "method": method}
-        except BudgetError:
-            if method == attempts[-1]:
-                raise
-        except ValueError as exc:
-            last_error = exc
-            if method == attempts[-1] and len(attempts) == 1:
-                raise
-    raise ValueError(f"no distance method applicable: {last_error}")
+            return {"value": closed_form_distance(code), "method": "closed-form"}
+        except ValueError:
+            mode = "torsion"
+    if mode == "closed-form":
+        value = closed_form_distance(code)
+    elif mode == "torsion":
+        value = code.min_distance(budget=budget)
+    else:
+        value = code.min_distance_bruteforce(budget=budget)
+    return {"value": value, "method": mode}
 
 
 def build_report(code: CyclicCode, distance_mode: str = "auto",

@@ -3,11 +3,15 @@
 A code is pinned down by its footprint: the reduced row echelon basis of the
 code viewed as an F_p-subspace of F_p^(kn), with coordinate i, layer j in
 column i*k + j.  The footprint is canonical, so it is the equality, hashing
-and sorting key; the stored generator list is presentation only.  Every
-construction checks closure of the footprint under the cyclic shift
-(x-multiplication) and under u-multiplication.  The torsion tower and the
-canonical lifted generators are read off one more echelon form of the
-footprint, computed once per code (`CyclicCode.level_generators`).
+and sorting key; the stored generator list is presentation only, and a code
+built from rows (such as a dual) has none.  Every construction checks closure
+of the footprint under the cyclic shift (x-multiplication) and under
+u-multiplication.  The torsion tower and the canonical lifted generators are
+read off one more echelon form of the footprint, computed once per code
+(`CyclicCode.level_generators`).  The dual is one F_p-nullspace: v is
+orthogonal to a u-closed code iff the top u-layer of every inner product v . c
+vanishes, and that layer is the F_p dot product of v with c's u-layers
+reversed inside each coordinate block.
 """
 
 from __future__ import annotations
@@ -90,13 +94,11 @@ class CyclicCode:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_rows(cls, params: PrimeParams, rows, generators=None) -> "CyclicCode":
+    def from_rows(cls, params: PrimeParams, rows, generators=()) -> "CyclicCode":
         """Build from spanning F_p row vectors; checks shift and u closure."""
         k, n = params.k, params.n
         M = linalg.as_matrix(list(rows), k * n, params.p)
         R, piv = linalg.rref(M, params.p)
-        if generators is None:
-            generators = [RkPoly.from_vector(r, params) for r in R.tolist()]
         code = cls(params, generators, R, piv)
         code._assert_closed()
         return code
@@ -183,23 +185,16 @@ class CyclicCode:
     def dual(self) -> "CyclicCode":
         """Orthogonal code under the R_k-valued Euclidean inner product.
 
-        v is orthogonal to the code iff all k u-layers of v . f vanish for
-        every footprint row f; that is one F_p-linear system in v.
+        For a code closed under u, v is orthogonal to it iff layer k-1 of v . c
+        vanishes for every codeword c: if v . c has lowest nonzero layer l,
+        then v . (u^(k-1-l) c) is nonzero in layer k-1.  That layer is the F_p
+        dot product of v with c's layers reversed inside each coordinate
+        block, so the dual is the F_p-nullspace of the footprint with its
+        columns permuted by that (involutive) reversal.
         """
-        p, k, n = self.params.p, self.params.k, self.params.n
-        kn = k * n
-        if self.dim == 0:
-            rows = np.eye(kn, dtype=np.int64)
-        else:
-            eqs = np.zeros((self.dim * k, kn), dtype=np.int64)
-            for ridx in range(self.dim):
-                f = self.footprint[ridx].reshape(n, k)
-                for l in range(k):
-                    eq = np.zeros((n, k), dtype=np.int64)
-                    for a in range(l + 1):
-                        eq[:, a] = f[:, l - a]
-                    eqs[ridx * k + l] = eq.reshape(-1)
-            rows = linalg.nullspace(eqs, p)
+        k, n = self.params.k, self.params.n
+        rev = [i * k + (k - 1 - j) for i in range(n) for j in range(k)]
+        rows = linalg.nullspace(self.footprint, self.params.p)[:, rev]
         return CyclicCode.from_rows(self.params, rows)
 
     # -- distance ----------------------------------------------------------
@@ -230,10 +225,11 @@ class CyclicCode:
 
     def to_json_dict(self) -> dict:
         p, k, n = self.params.p, self.params.k, self.params.n
-        gens = []
-        for g in self.generators:
-            vec = g.to_vector()
-            gens.append([[int(vec[i * k + j]) for j in range(k)] for i in range(n)])
+        # a code built from rows has no generators; its footprint rows span it
+        vecs = ([g.to_vector() for g in self.generators] if self.generators
+                else self.footprint.tolist())
+        gens = [[[int(vec[i * k + j]) for j in range(k)] for i in range(n)]
+                for vec in vecs]
         return {"p": p, "k": k, "n": n, "generators": gens}
 
 
@@ -283,6 +279,8 @@ def code_from_json_dict(doc: dict) -> CyclicCode:
         raise ValueError("code document must have exactly the fields p, k, n, generators")
     params = PrimeParams(doc["p"], doc["k"], doc["n"])
     k, n = params.k, params.n
+    if not isinstance(doc["generators"], list):
+        raise ValueError("generators must be a list")
     gens = []
     for entries in doc["generators"]:
         if not isinstance(entries, list):

@@ -47,6 +47,10 @@ class PrimeParams:
     n: int
 
     def __post_init__(self):
+        for name in ("p", "k", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if not (2 <= self.p <= 1 << 16 and is_prime(self.p)):
             raise ValueError("p must be a prime in [2, 2^16]")
         if not 1 <= self.k <= 8:

@@ -80,24 +80,20 @@ def in_rowspace(R: np.ndarray, pivots, v, p: int) -> bool:
 
 
 def nullspace(mat, p: int) -> np.ndarray:
-    """Basis, as rows, of {x : mat @ x = 0} over F_p.
+    """Basis, as rows, of {x : mat @ x = 0} over F_p, one row per free column
+    of the RREF, ascending.
 
     A matrix with no rows constrains nothing, so the basis is the identity.
     """
     M = np.array(mat, dtype=np.int64) % p
     if M.ndim == 1:
         M = M.reshape(1, -1)
-    nrows, ncols = M.shape
-    if nrows == 0:
-        return np.eye(ncols, dtype=np.int64)
     R, pivots = rref(M, p)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for i, c in enumerate(pivots):
-            basis[idx, c] = (-int(R[i, f])) % p
+    free = np.ones(M.shape[1], dtype=bool)
+    free[pivots] = False
+    basis = np.zeros((int(free.sum()), M.shape[1]), dtype=np.int64)
+    basis[:, free] = np.eye(len(basis), dtype=np.int64)
+    basis[:, pivots] = -R[:, free].T % p
     return basis
 
 

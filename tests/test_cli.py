@@ -174,6 +174,26 @@ class TestAnalyzeCommand:
         assert rc == 3
         assert "budget" in err
 
+    def test_auto_over_budget_names_torsion_requirement(self, tmp_path, capsys):
+        # n = 5 is not a power of 3, so auto skips the closed form; the top
+        # torsion code is all of F_3^5, 3^5 codewords (brute force would need 3^19)
+        path = write_code_file(tmp_path, g1_u_code())
+        rc, out, err = run_cli(["analyze", "--code-file", path, "--budget", "4"], capsys)
+        assert rc == 3
+        assert out == ""
+        assert "243 codewords required, budget is 4" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("generators", 5), ("p", "2"), ("p", 2.0), ("k", 1.0)])
+    def test_malformed_code_file_exit_2(self, tmp_path, capsys, field, value):
+        doc = {"p": 2, "k": 1, "n": 3, "generators": []}
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run_cli(["analyze", "--code-file", str(path)], capsys)
+        assert rc == 2
+        assert err.startswith("error:")
+
     def test_missing_input_exit_2(self, capsys):
         rc, _, err = run_cli(["analyze"], capsys)
         assert rc == 2

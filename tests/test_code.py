@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import ucyclic
+from ucyclic import linalg
 from ucyclic.chainring import RkElem, RkPoly
 from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
 from ucyclic.linalg import InvariantError
+
+from test_structure import edge_code
 
 P345 = PrimeParams(3, 4, 5)
 G1 = FpPoly([2, 1], 3)
@@ -45,6 +48,45 @@ def brute_min_weight(code):
         if best is None or w < best:
             best = w
     return best
+
+
+def equation_dual(code):
+    """The dual the long way (reference only): v is orthogonal to the code iff
+    all k u-layers of v . f vanish for every footprint row f, one F_p-linear
+    equation per row and layer."""
+    p, k, n = code.params.p, code.params.k, code.params.n
+    eqs = np.zeros((code.dim * k, k * n), dtype=np.int64)
+    for ridx in range(code.dim):
+        f = code.footprint[ridx].reshape(n, k)
+        for l in range(k):
+            eq = np.zeros((n, k), dtype=np.int64)
+            for a in range(l + 1):
+                eq[:, a] = f[:, l - a]
+            eqs[ridx * k + l] = eq.reshape(-1)
+    return CyclicCode.from_rows(code.params, linalg.nullspace(eqs, p))
+
+
+def random_subcode(rng, pp):
+    """A code with 1-2 generators of random u-valuation, each a random
+    multiple of 1 or of x^d - 1 for a divisor d of n, so dimensions spread
+    from the zero code to the whole ring."""
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        val = rng.randrange(pp.k)
+        layers = [[0] * pp.n] * val + [[rng.randrange(pp.p) for _ in range(pp.n)]
+                                       for _ in range(pp.k - val)]
+        d = rng.choice([d for d in range(pp.n + 1) if d == 0 or pp.n % d == 0])
+        factor = FpPoly.one(pp.p) if d == 0 else FpPoly.xn_minus_1(d, pp.p)
+        gens.append(RkPoly(layers, pp) * gen(factor, pp))
+    return code_from_generators(pp, gens)
+
+
+def rk_inner(v, c):
+    """R_k-valued Euclidean inner product, by ring arithmetic."""
+    acc = RkElem.zero(v.params)
+    for i in range(v.params.n):
+        acc = acc + v.coefficient(i) * c.coefficient(i)
+    return acc
 
 
 class TestConstruction:
@@ -186,10 +228,7 @@ class TestDual:
             for c in all_ring_polys(pp):
                 if not code.contains(c):
                     continue
-                acc = RkElem.zero(pp)
-                for i in range(pp.n):
-                    acc = acc + w.coefficient(i) * c.coefficient(i)
-                if not acc.is_zero:
+                if not rk_inner(w, c).is_zero:
                     ok = False
                     break
             if ok:
@@ -215,6 +254,43 @@ class TestDual:
             dual = code.dual()
             assert code.dim + dual.dim == pp.k * pp.n
             assert dual.dual() == code
+
+    def test_matches_equation_system(self):
+        rng = random.Random(31)
+        dims = set()
+        for _ in range(60):
+            pp = PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(1, 6), rng.randint(1, 16))
+            code = random_subcode(rng, pp)
+            dims.add((code.dim > 0, code.dim < pp.k * pp.n))
+            assert code.dual() == equation_dual(code)
+        assert dims == {(True, True), (False, True), (True, False)}
+
+    def test_matches_equation_system_at_envelope_edge(self):
+        code = edge_code(64, seed=5)
+        assert 0 < code.dim < 8 * 64
+        assert code.dual() == equation_dual(code)
+
+    def test_footprint_rows_orthogonal_in_every_layer(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            pp = PrimeParams(rng.choice([2, 3]), rng.randint(1, 3), rng.randint(1, 5))
+            code = random_subcode(rng, pp)
+            dual = code.dual()
+            for v in dual.footprint.tolist():
+                for c in code.footprint.tolist():
+                    prod = rk_inner(RkPoly.from_vector(v, pp), RkPoly.from_vector(c, pp))
+                    assert prod.is_zero
+
+    def test_row_built_code_has_no_generators(self):
+        dual = code_from_generators(P345, [gen(G1, P345)]).dual()
+        assert dual.generators == ()
+
+    def test_json_round_trip(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            pp = PrimeParams(rng.choice([2, 3, 5]), rng.randint(1, 4), rng.randint(1, 8))
+            dual = random_subcode(rng, pp).dual()
+            assert code_from_json(code_to_json(dual)) == dual
 
 
 class TestMinDistance:
