@@ -34,7 +34,7 @@ __all__ = ["main", "entry", "parse_fp_poly", "format_fp_poly",
 _TERM = re.compile(r"([+-]?)(\d+)?\*?(x(?:\^(\d+))?)?\Z")
 
 
-def parse_fp_poly(text: str, p: int) -> FpPoly:
+def parse_fp_poly(text: str, p: int, n: int | None = None) -> FpPoly:
     s = text.replace(" ", "").replace("**", "^")
     if s in ("", "0"):
         return FpPoly.zero(p)
@@ -49,6 +49,8 @@ def parse_fp_poly(text: str, p: int) -> FpPoly:
             e = 0
         else:
             e = int(m.group(4)) if m.group(4) is not None else 1
+        if n is not None:
+            e %= n  # x^n = 1 modulo x^n - 1: the dense list never outgrows n
         coeffs[e] = coeffs.get(e, 0) + sign * c
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -76,7 +78,7 @@ def parse_rk_poly(text: str, params: PrimeParams) -> RkPoly:
     layers = text.split(";")
     if len(layers) > params.k:
         raise ValueError(f"at most {params.k} u-layers expected")
-    return RkPoly([parse_fp_poly(l, params.p) for l in layers], params)
+    return RkPoly([parse_fp_poly(l, params.p, params.n) for l in layers], params)
 
 
 def format_rk_poly(g: RkPoly) -> str:

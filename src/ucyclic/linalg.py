@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 
+BLOCK = 1 << 14  # most partial combinations min_nonzero_weight keeps in memory
+
 
 class BudgetError(ValueError):
     """An exhaustive enumeration would exceed the caller's codeword budget."""
@@ -97,14 +99,13 @@ def nullspace(mat, p: int) -> np.ndarray:
     return basis
 
 
-def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = 1 << 24,
-                       block: int = 1 << 14) -> int:
+def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = 1 << 24) -> int:
     """Minimum number of nonzero column groups over all nonzero F_p-combinations
     of the basis rows.
 
     Groups are consecutive runs of `group` columns; a group counts as nonzero
     when any of its entries is.  Enumeration is exhaustive over all p^rank
-    combinations, blocked so that a table of at most `block` partial
+    combinations, blocked so that a table of at most BLOCK partial
     combinations is kept in memory; combinations are visited in odometer order
     over the coefficient vectors, so the scan is deterministic.
     """
@@ -126,7 +127,7 @@ def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = 1 << 24,
     else:
         dt = np.int32
     dlo = 0
-    while dlo < d and p ** (dlo + 1) <= block:
+    while dlo < d and p ** (dlo + 1) <= BLOCK:
         dlo += 1
     base = np.zeros((1, ncols), dtype=dt)
     for i in range(dlo):

@@ -15,8 +15,9 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
 from .chainring import RkPoly
-from .code import CyclicCode, code_from_generators
+from .code import CyclicCode, _shift_u, _u_multiples, code_from_generators
 from .distance import distance_power_length, product_law_check
 from .gfp import (FpPoly, PrimeParams, divisors_xn_minus_1, factor_xn_minus_1,
                   fp_cyclic_min_weight, poly_gcd, poly_xgcd)
@@ -217,6 +218,29 @@ def check_free(rng, trials, budget) -> CheckResult:
     return res
 
 
+def _module_span(params: PrimeParams, elements) -> CyclicCode:
+    """The R_k-linear span (no x-multiples) of the elements, as a code object.
+
+    Span rows are u^m * e over F_p; closure checks are skipped since a bare
+    module span need not be an ideal.
+    """
+    k, n = params.k, params.n
+    v = linalg.as_matrix([e.to_vector() for e in elements], k * n, params.p)
+    R, piv = linalg.rref(_u_multiples(v, n, k), params.p)
+    return CyclicCode(params, (), R, piv)
+
+
+def _irredundant(code: CyclicCode, elements) -> bool:
+    """Whether a set spanning the code as an R_k-module has no redundant member.
+
+    By Nakayama's lemma over the local ring R_k, a spanning set is
+    irredundant iff its size is dim C/uC = dim C - dim uC.
+    """
+    k, n = code.params.k, code.params.n
+    _, piv = linalg.rref(_shift_u(code.footprint, n, k), code.params.p)
+    return len(elements) == code.dim - len(piv)
+
+
 def check_rank_and_spanning(rng, trials, budget) -> CheckResult:
     res = CheckResult("rank-spanning-set")
     for _ in range(trials):
@@ -227,9 +251,10 @@ def check_rank_and_spanning(rng, trials, budget) -> CheckResult:
             continue
         try:
             ss = minimal_spanning_set(code)
-            r = rank(code)
-            ok = (r == ss.cardinality
-                  == params.n - code.torsion_tower().gens[-1].degree)
+            ok = (rank(code) == ss.cardinality
+                  == params.n - code.torsion_tower().gens[-1].degree
+                  and _module_span(params, ss.elements) == code
+                  and _irredundant(code, ss.elements))
         except AssertionError:
             ok = False
         res.record(ok, _repro(code))

@@ -3,8 +3,8 @@
 The canonical form takes, for each tower level that contributes new content,
 the codeword of u-valuation i whose layer i is the torsion generator g_i and
 whose higher layers j lie below deg g_j (`CyclicCode.level_generators`).  It
-is built once per code, and reconstruction equality against the footprint is
-checked then, so the normalization can never silently change the code.
+is built once per code and checked by one certificate per lifted generator,
+from which the other structure results follow by theorem (`canonical_form`).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from math import prod
 
 from . import linalg
 from .chainring import RkPoly
-from .code import (CyclicCode, TorsionTower, _shift_u, _u_multiples,
-                   code_from_generators)
+from .code import CyclicCode, TorsionTower, code_from_generators
 from .gfp import FpPoly, PrimeParams, factor_xn_minus_1
 from .linalg import InvariantError
 
@@ -33,6 +32,7 @@ SHAPE_PRINCIPAL = "Principal"
 SHAPE_PRINCIPAL_DIVIDING = "PrincipalDividing"
 SHAPE_TWO_GENERATOR = "TwoGenerator"
 SHAPE_FULL_TOWER = "FullTower"
+CHAIN_CAP = 1 << 20  # most divisor chains enumerate_coprime will build
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class CanonicalForm:
 
     tower: TorsionTower
     lifted: tuple
-    shape: str
 
     @property
     def present_levels(self) -> tuple[int, ...]:
@@ -54,6 +53,22 @@ class CanonicalForm:
     @property
     def generators(self) -> tuple[RkPoly, ...]:
         return tuple(g for g in self.lifted if g is not None)
+
+    @property
+    def shape(self) -> str:
+        # none present: the zero code; only level 0: the free case (is_free)
+        present = self.present_levels
+        if not present:
+            return SHAPE_FULL_TOWER
+        if self.tower.params.coprime:
+            return SHAPE_PRINCIPAL
+        if present == (0,):
+            return SHAPE_PRINCIPAL_DIVIDING
+        if len(present) == 1:
+            return SHAPE_PRINCIPAL
+        if len(present) == 2:
+            return SHAPE_TWO_GENERATOR
+        return SHAPE_FULL_TOWER
 
 
 @dataclass(frozen=True)
@@ -72,75 +87,58 @@ def _xn1(params: PrimeParams) -> FpPoly:
 
 
 def canonical_form(code: CyclicCode) -> CanonicalForm:
-    """The canonical tower of lifted generators, built and checked once per code."""
+    """The canonical tower of lifted generators, built and checked once per code.
+
+    Certificate per lifted G_i: u-valuation i, layer i equal to g_i, mixing
+    layers j > i below deg g_j, and G_i in C.  Theorem: <G> = C and Tor_i(C)
+    = <g_i>, since <G> lies in C and Tor_i(<G>) holds g_i (G_i, or u times
+    level i - 1), so dim <G> >= sum (n - deg g_i) = dim C.
+    """
     if code._canonical is not None:
         return code._canonical
     params = code.params
     tower = code.torsion_tower()
-    xn1 = _xn1(params)
     lifted: list[RkPoly | None] = [None] * params.k
-    present = []
     for i, w in enumerate(code.level_generators()):
-        prev = tower.gens[i - 1] if i else xn1
+        prev = tower.gens[i - 1] if i else _xn1(params)
         if tower.gens[i] == prev:
             continue
         if w.u_valuation() != i or w.ulayers[i] != tower.gens[i]:
             raise InvariantError(f"lifted generator {i} has the wrong valuation or layer")
-        present.append(i)
+        if any(w.ulayers[j].degree >= tower.gens[j].degree
+               for j in range(i + 1, params.k)):
+            raise InvariantError(f"lifted generator {i} has an unreduced mixing layer")
         lifted[i] = w
-    gens = [g for g in lifted if g is not None]
-    if code_from_generators(params, gens) != code:
-        raise InvariantError("lifted generators do not reconstruct the code")
-    shape = _classify_shape(code, tower, present, lifted)
-    code._canonical = CanonicalForm(tower, tuple(lifted), shape)
+    rows = [g.to_vector() for g in lifted if g is not None]
+    if linalg.reduce_vector(code.footprint, code.pivots, rows, params.p).any():
+        raise InvariantError("a lifted generator lies outside the code")
+    code._canonical = CanonicalForm(tower, tuple(lifted))
     return code._canonical
-
-
-def _classify_shape(code, tower, present, lifted) -> str:
-    params = code.params
-    if code.dim == 0:
-        return SHAPE_FULL_TOWER
-    if params.coprime:
-        return SHAPE_PRINCIPAL
-    if len(present) == 1:
-        i = present[0]
-        if i == 0 and lifted[0].divides(RkPoly.from_fp(_xn1(params), params)):
-            return SHAPE_PRINCIPAL_DIVIDING
-        return SHAPE_PRINCIPAL
-    if len(present) == 2:
-        return SHAPE_TWO_GENERATOR
-    return SHAPE_FULL_TOWER
 
 
 def is_free(code: CyclicCode) -> tuple[bool, RkPoly | None]:
     """Whether the code is a free R_k-module, with the principal witness.
 
-    Free means all torsion generators coincide; the witness is then the single
-    lifted generator and it must divide x^n - 1 in R_k, which is checked.
+    Free means all torsion generators coincide (only level 0 is present); the
+    witness G_0 is then a factor of x^n - 1 by theorem: it is monic of degree
+    deg g, so x^n - 1 mod G_0 is a codeword of degree < deg g, zero by Tor = <g>.
     The zero code is free of rank 0 and has no witness.
     """
-    tower = code.torsion_tower()
-    if any(g != tower.gens[0] for g in tower.gens):
-        return False, None
     if code.dim == 0:
         return True, None
     cf = canonical_form(code)
-    witness = cf.lifted[0]
-    if witness is None or not witness.divides(RkPoly.from_fp(_xn1(code.params), code.params)):
-        raise InvariantError("free witness fails to divide x^n - 1 in R_k")
-    return True, witness
+    return (True, cf.lifted[0]) if cf.present_levels == (0,) else (False, None)
 
 
 def collapse_coprime(code: CyclicCode) -> RkPoly:
-    """Single generator sum(u^i * tower_i) for gcd(n, p) = 1; footprint-checked."""
-    params = code.params
-    if not params.coprime:
+    """Single generator sum(u^i * g_i) for gcd(n, p) = 1, from the checked tower.
+
+    Theorem (Dinh and Lopez-Permouth, IEEE-IT 2004): for gcd(n, p) = 1 every
+    code is generated by sum(u^i * g_i), g_i its torsion generators.
+    """
+    if not code.params.coprime:
         raise ValueError("collapse requires n coprime to p")
-    tower = code.torsion_tower()
-    h = RkPoly(tuple(tower.gens), params).mod_xn()
-    if code_from_generators(params, [h]) != code:
-        raise InvariantError("collapsed generator does not reproduce the code")
-    return h
+    return RkPoly(canonical_form(code).tower.gens, code.params).mod_xn()
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ class ConstraintCheck:
     """One mixing-layer divisibility condition of the canonical form.
 
     level/layer locate the mixing polynomial (layer > level of the lifted
-    generator at `level`).  chain_cofactors_ok divides by the mixed cofactor
+    generator at `level`).  chain_cofactors_ok multiplies by the mixed cofactor
     product prod_t (x^n-1)/tower_t for t = level..layer-1;
     repeated_cofactors_ok uses ((x^n-1)/tower_level)^(layer-level) instead.
     """
@@ -222,8 +220,10 @@ def minimal_spanning_set(code: CyclicCode) -> SpanningSet:
     """x^j-multiples of the lifted generators, one run per torsion degree gap.
 
     Level i contributes x^j * G_i for j below (previous tower degree - its
-    own), reading n in front of level 0.  The R_k-span equality is checked,
-    and minimality by Nakayama's criterion (`_irredundant`).
+    own), reading n in front of level 0.  Theorem: the set spans C and is
+    minimal.  The layer-l parts of u^(l-i) x^j G_i are x^j g_i, whose degrees
+    fill [r_l, n) (r_l = deg g_l), so the span has C's tower; and its size
+    n - r_(k-1) is dim C - dim uC, Nakayama's condition over the local R_k.
     """
     if code.dim == 0:
         raise ValueError("zero code has no spanning set")
@@ -235,36 +235,7 @@ def minimal_spanning_set(code: CyclicCode) -> SpanningSet:
         count = (params.n if i == 0 else degs[i - 1]) - degs[i]
         for j in range(count):
             elements.append(cf.lifted[i].shift_x(j).mod_xn())
-    if len(elements) != params.n - degs[-1]:
-        raise InvariantError("spanning set size differs from the rank")
-    if _module_span(params, elements) != code:
-        raise InvariantError("spanning set misses the code")
-    if not _irredundant(code, elements):
-        raise InvariantError("spanning set is not minimal")
     return SpanningSet(tuple(elements))
-
-
-def _irredundant(code: CyclicCode, elements) -> bool:
-    """Whether a set spanning the code as an R_k-module has no redundant member.
-
-    By Nakayama's lemma over the local ring R_k, a spanning set is
-    irredundant iff its size is dim C/uC = dim C - dim uC.
-    """
-    k, n = code.params.k, code.params.n
-    _, piv = linalg.rref(_shift_u(code.footprint, n, k), code.params.p)
-    return len(elements) == code.dim - len(piv)
-
-
-def _module_span(params: PrimeParams, elements) -> CyclicCode:
-    """The R_k-linear span (no x-multiples) of the elements, as a code object.
-
-    Span rows are u^m * e over F_p; closure checks are skipped since a bare
-    module span need not be an ideal.
-    """
-    k, n = params.k, params.n
-    v = linalg.as_matrix([e.to_vector() for e in elements], k * n, params.p)
-    R, piv = linalg.rref(_u_multiples(v, n, k), params.p)
-    return CyclicCode(params, (), R, piv)
 
 
 def cardinality_formula_check(code: CyclicCode) -> tuple[int, int, bool]:
@@ -279,7 +250,7 @@ def cardinality_formula_check(code: CyclicCode) -> tuple[int, int, bool]:
     return code.dim, rhs, code.dim == rhs
 
 
-def enumerate_coprime(params: PrimeParams, cap: int = 1 << 20) -> list[CyclicCode]:
+def enumerate_coprime(params: PrimeParams) -> list[CyclicCode]:
     """Every cyclic code of length n over R_k when gcd(n, p) = 1.
 
     One chain per componentwise-monotone exponent vector over the squarefree
@@ -292,8 +263,8 @@ def enumerate_coprime(params: PrimeParams, cap: int = 1 << 20) -> list[CyclicCod
         raise ValueError("enumeration implemented for coprime case only")
     facs = [q for q, _ in factor_xn_minus_1(params)]
     count = (params.k + 1) ** len(facs)
-    if count > cap:
-        raise ValueError(f"divisor-chain count too large: {count} chains exceed cap {cap}")
+    if count > CHAIN_CAP:
+        raise ValueError(f"divisor-chain count too large: {count} chains exceed cap {CHAIN_CAP}")
     xn1 = _xn1(params)
     seen: dict[bytes, CyclicCode] = {}
     for thresholds in itertools.product(range(params.k + 1), repeat=len(facs)):

@@ -139,11 +139,24 @@ class TestInvariants:
             bare.torsion_tower()
 
     def test_survives_optimize_flag(self):
-        script = ("from ucyclic.code import CyclicCode\n"
-                  "from ucyclic.gfp import PrimeParams\n"
+        # an ideal that is not closed, and a lifted generator G_0 + u outside
+        # the code <x + 2> over R_2 (the canonical form's certificate)
+        script = ("from ucyclic.chainring import RkPoly\n"
+                  "from ucyclic.code import CyclicCode, code_from_generators\n"
+                  "from ucyclic.gfp import FpPoly, PrimeParams\n"
                   "from ucyclic.linalg import InvariantError\n"
+                  "from ucyclic.structure import canonical_form\n"
                   "try:\n"
                   "    CyclicCode.from_rows(PrimeParams(2, 1, 3), [[1, 0, 0]])\n"
+                  "except InvariantError:\n"
+                  "    print('raised')\n"
+                  "pp = PrimeParams(3, 2, 5)\n"
+                  "code = code_from_generators(pp, [RkPoly([[2, 1]], pp)])\n"
+                  "real = CyclicCode.level_generators\n"
+                  "u = RkPoly([[], [1]], pp)\n"
+                  "CyclicCode.level_generators = lambda c: (real(c)[0] + u,) + real(c)[1:]\n"
+                  "try:\n"
+                  "    canonical_form(code)\n"
                   "except InvariantError:\n"
                   "    print('raised')\n")
         src = str(Path(ucyclic.__file__).resolve().parents[1])
@@ -151,7 +164,7 @@ class TestInvariants:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "raised"
+        assert proc.stdout.split() == ["raised", "raised"]
 
 
 class TestContains:

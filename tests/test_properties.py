@@ -1,6 +1,8 @@
 import random
 
-from ucyclic.properties import check_distance_sweep, run_suite
+from ucyclic import properties
+from ucyclic.properties import check_distance_sweep, check_rank_and_spanning, run_suite
+from ucyclic.structure import SpanningSet
 
 
 def test_monotone_check_covers_the_sweep():
@@ -18,3 +20,15 @@ def test_suite_expands_the_merged_check_in_order():
     names = [r.name for r in run_suite("distance", 1, 0, 3 ** 10)]
     assert names == ["distance-closed-form-sweep", "distance-monotone-in-t",
                      "torsion-vs-bruteforce-distance", "distance-product-law"]
+
+
+def test_rank_check_rejects_a_set_that_does_not_span(monkeypatch):
+    # u times a minimal spanning set has its size but spans only uC != C
+    real = properties.minimal_spanning_set
+
+    def short(code):
+        return SpanningSet(tuple(e.times_u() for e in real(code).elements))
+    assert check_rank_and_spanning(random.Random(0), 10, 1 << 16).ok
+    monkeypatch.setattr(properties, "minimal_spanning_set", short)
+    res = check_rank_and_spanning(random.Random(0), 10, 1 << 16)
+    assert res.total == 10 and not res.ok

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from ucyclic.chainring import RkPoly
-from ucyclic.code import code_from_generators
+from ucyclic.code import CyclicCode, code_from_generators
 from ucyclic.gfp import FpPoly, PrimeParams
-from ucyclic.properties import (chain_code, random_chain, random_code,
-                                random_params)
+from ucyclic.linalg import InvariantError
+from ucyclic.properties import (_irredundant, _module_span, chain_code,
+                                random_chain, random_code, random_params)
 from ucyclic.structure import (SHAPE_FULL_TOWER, SHAPE_PRINCIPAL,
                                SHAPE_PRINCIPAL_DIVIDING, SHAPE_TWO_GENERATOR,
-                               _irredundant, _module_span, canonical_form,
-                               cardinality_formula_check, collapse_coprime,
-                               enumerate_coprime, is_free,
+                               canonical_form, cardinality_formula_check,
+                               collapse_coprime, enumerate_coprime, is_free,
                                minimal_spanning_set, rank, verify_constraints)
 
 P345 = PrimeParams(3, 4, 5)
@@ -79,6 +79,33 @@ class TestCanonicalForm:
             code = random_code(rng, params)
             cf = canonical_form(code)
             assert code_from_generators(params, list(cf.generators)) == code
+
+
+class TestCertificate:
+    @staticmethod
+    def tampered(monkeypatch, delta):
+        """<x + 2> over R_2, with level_generators handing out G_0 + delta."""
+        pp = PrimeParams(3, 2, 5)
+        code = code_from_generators(pp, [gen(G1, pp)])
+        assert code.torsion_tower().gens == (G1, G1)
+        real = CyclicCode.level_generators
+        monkeypatch.setattr(CyclicCode, "level_generators",
+                            lambda c: (real(c)[0] + delta(pp),) + real(c)[1:])
+        return code
+
+    def test_lift_outside_code(self, monkeypatch):
+        # adding u keeps layer 1 of G_0 below deg g_1 = 1, but u is no codeword
+        code = self.tampered(monkeypatch, lambda pp: gen(FpPoly.one(3), pp, level=1))
+        with pytest.raises(InvariantError, match="outside the code"):
+            canonical_form(code)
+
+    def test_unreduced_mixing_layer(self, monkeypatch):
+        # u * g_1 is a codeword at k = 2, so G_0 + u * g_1 stays in C; only
+        # its layer 1, now of degree deg g_1, breaks the certificate
+        code = self.tampered(monkeypatch, lambda pp: gen(G1, pp, level=1))
+        assert code.contains(code.level_generators()[0])
+        with pytest.raises(InvariantError, match="unreduced mixing layer"):
+            canonical_form(code)
 
 
 class TestIsFree:
@@ -205,6 +232,8 @@ class TestMinimalSpanningSet:
             ss = minimal_spanning_set(code)
             assert ss.cardinality == rank(code)
             assert ss.cardinality == params.n - code.torsion_tower().gens[-1].degree
+            assert _module_span(params, ss.elements) == code
+            assert _irredundant(code, ss.elements)
 
 
 def leave_one_out_irredundant(code, elements):
