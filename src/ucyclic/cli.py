@@ -34,7 +34,7 @@ __all__ = ["main", "entry", "parse_fp_poly", "format_fp_poly",
 _TERM = re.compile(r"([+-]?)(\d+)?\*?(x(?:\^(\d+))?)?\Z")
 
 
-def parse_fp_poly(text: str, p: int, n: int | None = None) -> FpPoly:
+def parse_fp_poly(text: str, p: int, n: int) -> FpPoly:
     s = text.replace(" ", "").replace("**", "^")
     if s in ("", "0"):
         return FpPoly.zero(p)
@@ -49,8 +49,7 @@ def parse_fp_poly(text: str, p: int, n: int | None = None) -> FpPoly:
             e = 0
         else:
             e = int(m.group(4)) if m.group(4) is not None else 1
-        if n is not None:
-            e %= n  # x^n = 1 modulo x^n - 1: the dense list never outgrows n
+        e %= n  # x^n = 1: the dense list never outgrows n
         coeffs[e] = coeffs.get(e, 0) + sign * c
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():

@@ -133,12 +133,13 @@ def is_free(code: CyclicCode) -> tuple[bool, RkPoly | None]:
 def collapse_coprime(code: CyclicCode) -> RkPoly:
     """Single generator sum(u^i * g_i) for gcd(n, p) = 1, from the checked tower.
 
-    Theorem (Dinh and Lopez-Permouth, IEEE-IT 2004): for gcd(n, p) = 1 every
-    code is generated by sum(u^i * g_i), g_i its torsion generators.
+    g_i lies in Tor_i(C) by construction, so the tower's degree-sum check gives
+    Tor_i(C) = <g_i>; theorem (Dinh and Lopez-Permouth, IEEE-IT 2004): for
+    gcd(n, p) = 1 every code is generated by sum(u^i * g_i).
     """
     if not code.params.coprime:
         raise ValueError("collapse requires n coprime to p")
-    return RkPoly(canonical_form(code).tower.gens, code.params).mod_xn()
+    return RkPoly(code.torsion_tower().gens, code.params).mod_xn()
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,15 @@ class TestGrammar:
         ("x+x", [0, 2]),
     ])
     def test_parse(self, text, coeffs):
-        assert parse_fp_poly(text, 7) == FpPoly(coeffs, 7)
+        assert parse_fp_poly(text, 7, 8) == FpPoly(coeffs, 7)
 
     def test_parse_reduces_mod_p(self):
-        assert parse_fp_poly("4x+5", 3) == FpPoly([2, 1], 3)
+        assert parse_fp_poly("4x+5", 3, 8) == FpPoly([2, 1], 3)
 
     @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            parse_fp_poly(bad, 3)
+            parse_fp_poly(bad, 3, 8)
 
     def test_rk_roundtrip(self):
         pp = PrimeParams(2, 2, 4)
@@ -69,7 +69,7 @@ class TestGrammar:
         for _ in range(200):
             p = rng.choice([2, 3, 5])
             f = FpPoly([rng.randrange(p) for _ in range(rng.randint(0, 8))], p)
-            assert parse_fp_poly(format_fp_poly(f), p) == f
+            assert parse_fp_poly(format_fp_poly(f), p, 8) == f
 
 
 class TestBudget:
@@ -219,7 +219,9 @@ class TestAnalyzeCommand:
     def test_report_reconstructs_once(self, monkeypatch):
         # three present levels; the canonical form is checked by its
         # certificate, not by a rebuild, and the shape, freeness, constraints
-        # and spanning set follow from it, so structure rebuilds nothing
+        # and spanning set follow from it, so structure rebuilds nothing; the
+        # certificate's membership reduction runs once per code, not once per
+        # use of the canonical form
         pp = PrimeParams(2, 3, 4)
         code = code_from_generators(pp, [
             RkPoly([FpPoly([1, 1, 1, 1], 2), FpPoly([0, 1], 2)], pp),
@@ -234,9 +236,18 @@ class TestAnalyzeCommand:
             return real(params, gens)
         monkeypatch.setattr(structure, "code_from_generators", counting)
         fresh = code_from_generators(pp, list(code.generators))
+        reductions = []
+        real_reduce = structure.linalg.reduce_vector
+
+        def counting_reduce(R, pivots, v, p):
+            if R is fresh.footprint:  # the report also builds other codes
+                reductions.append(len(v))
+            return real_reduce(R, pivots, v, p)
+        monkeypatch.setattr(structure.linalg, "reduce_vector", counting_reduce)
         build_report(fresh)
         build_report(fresh)
         assert calls == []
+        assert reductions == [3]
 
 
 class TestEnumerateCommand:

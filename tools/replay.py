@@ -56,14 +56,12 @@ def digest(text: str) -> str:
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workload", choices=WORKLOADS, action="append",
-                    help="replay only this workload; repeatable (default: all four)")
     return ap.parse_args(argv)
 
 
 def replay(argv=None) -> int:
     args = parse_args(argv)
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         for seed in args.seeds:
             for index, request in enumerate(workloads.requests(workload, seed)):
                 rc, out, err = run(request)
