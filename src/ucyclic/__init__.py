@@ -7,7 +7,7 @@ from .distance import (PAdicExpansion, classify_p_adic, distance_power_length,
                        closed_form_distance, product_law_check)
 from .gfp import (BudgetError, FpPoly, PrimeParams, divisors_xn_minus_1,
                   factor_xn_minus_1, fp_cyclic_min_weight, is_prime,
-                  poly_gcd, poly_lcm, poly_xgcd)
+                  poly_gcd, poly_xgcd)
 from .linalg import InvariantError
 from .structure import (CanonicalForm, SpanningSet, canonical_form,
                         cardinality_formula_check, collapse_coprime,

@@ -275,13 +275,6 @@ class RkPoly:
         """True iff self divides other in R_k[x] (remainder exactly zero)."""
         return divmod(other, self)[1].is_zero
 
-    def reduce_to_subring(self, j: int) -> "RkPoly":
-        """Truncate to the first j u-layers, landing in R_j[x]."""
-        if not 1 <= j < self.params.k:
-            raise ValueError("subring index out of range")
-        sub = PrimeParams(self.params.p, j, self.params.n)
-        return RkPoly(self.ulayers[:j], sub)
-
     def to_vector(self) -> list[int]:
         """Flatten to F_p^(kn), coordinate i / layer j in slot i*k + j."""
         k, n = self.params.k, self.params.n

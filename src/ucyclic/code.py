@@ -11,7 +11,8 @@ read off one more echelon form of the footprint, computed once per code
 (`CyclicCode.level_generators`).  The dual is one F_p-nullspace: v is
 orthogonal to a u-closed code iff the top u-layer of every inner product v . c
 vanishes, and that layer is the F_p dot product of v with c's u-layers
-reversed inside each coordinate block.
+reversed inside each coordinate block (`_layer_reversal`).  The dual's size
+and self-duality follow from the footprint without building it (Frobenius).
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def _shift_u(vec: np.ndarray, n: int, k: int) -> np.ndarray:
     out = np.zeros_like(m)
     out[..., 1:] = m[..., :-1]
     return out.reshape(vec.shape)
+
+
+def _layer_reversal(n: int, k: int) -> list[int]:
+    # columns with the u-layers reversed inside each coordinate block
+    return [i * k + (k - 1 - j) for i in range(n) for j in range(k)]
 
 
 def _u_multiples(rows: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -97,7 +103,7 @@ class CyclicCode:
     def from_rows(cls, params: PrimeParams, rows, generators=()) -> "CyclicCode":
         """Build from spanning F_p row vectors; checks shift and u closure."""
         k, n = params.k, params.n
-        M = linalg.as_matrix(list(rows), k * n, params.p)
+        M = linalg.as_matrix(rows, k * n, params.p)
         R, piv = linalg.rref(M, params.p)
         code = cls(params, generators, R, piv)
         code._assert_closed()
@@ -141,7 +147,7 @@ class CyclicCode:
         if w.params != self.params:
             raise ValueError("parameter mismatch")
         vec = np.array(w.to_vector(), dtype=np.int64)
-        return linalg.in_rowspace(self.footprint, self.pivots, vec, self.params.p)
+        return not linalg.reduce_vector(self.footprint, self.pivots, vec, self.params.p).any()
 
     def level_generators(self) -> tuple:
         """Per level i, the codeword of u-valuation i whose layer i is the monic
@@ -192,10 +198,18 @@ class CyclicCode:
         block, so the dual is the F_p-nullspace of the footprint with its
         columns permuted by that (involutive) reversal.
         """
-        k, n = self.params.k, self.params.n
-        rev = [i * k + (k - 1 - j) for i in range(n) for j in range(k)]
-        rows = linalg.nullspace(self.footprint, self.params.p)[:, rev]
+        rows = linalg.nullspace(self.footprint, self.params.p)
+        rows = rows[:, _layer_reversal(self.params.n, self.params.k)]
         return CyclicCode.from_rows(self.params, rows)
+
+    def is_self_dual(self) -> bool:
+        """C = C^perp without building the dual: R_k is Frobenius, so dim C^perp
+        = kn - dim C, and by the argument of `dual` C lies in C^perp iff
+        F . F[:, rev]^T = 0 over F_p (its int64 entries stay below kn p^2 <
+        2^41); equal dimensions make it equality."""
+        k, n, F = self.params.k, self.params.n, self.footprint
+        return (2 * self.dim == k * n
+                and not (F @ F[:, _layer_reversal(n, k)].T % self.params.p).any())
 
     # -- distance ----------------------------------------------------------
 

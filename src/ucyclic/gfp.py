@@ -19,7 +19,7 @@ from .linalg import BudgetError
 
 __all__ = [
     "NEG_INF", "BudgetError", "is_prime", "PrimeParams", "FpPoly",
-    "poly_gcd", "poly_xgcd", "poly_lcm",
+    "poly_gcd", "poly_xgcd",
     "factor_xn_minus_1", "divisors_xn_minus_1", "fp_cyclic_min_weight",
 ]
 
@@ -249,12 +249,6 @@ def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_lcm(a: FpPoly, b: FpPoly) -> FpPoly:
-    if a.is_zero or b.is_zero:
-        return FpPoly.zero(a.p)
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def _monic_polys(d: int, p: int):

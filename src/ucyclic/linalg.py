@@ -77,10 +77,6 @@ def reduce_vector(R: np.ndarray, pivots, v, p: int) -> np.ndarray:
     return res
 
 
-def in_rowspace(R: np.ndarray, pivots, v, p: int) -> bool:
-    return not reduce_vector(R, pivots, v, p).any()
-
-
 def nullspace(mat, p: int) -> np.ndarray:
     """Basis, as rows, of {x : mat @ x = 0} over F_p, one row per free column
     of the RREF, ascending.

@@ -28,6 +28,9 @@ __all__ = ["CheckResult", "SUITES", "run_suite",
            "random_params", "random_chain", "chain_code", "random_code",
            "random_free_divisor"]
 
+MAX_GENS = 2  # most generators random_code draws
+LIFT_ATTEMPTS = 30  # lifting rounds random_free_divisor tries before falling back
+
 
 @dataclass
 class CheckResult:
@@ -105,13 +108,12 @@ def random_rk_poly(rng: random.Random, params: PrimeParams) -> RkPoly:
     return RkPoly(layers, params)
 
 
-def random_code(rng: random.Random, params: PrimeParams, max_gens=2) -> CyclicCode:
-    gens = [random_rk_poly(rng, params) for _ in range(rng.randint(1, max_gens))]
+def random_code(rng: random.Random, params: PrimeParams) -> CyclicCode:
+    gens = [random_rk_poly(rng, params) for _ in range(rng.randint(1, MAX_GENS))]
     return code_from_generators(params, gens)
 
 
-def random_free_divisor(rng: random.Random, params: PrimeParams,
-                        attempts: int = 30) -> RkPoly:
+def random_free_divisor(rng: random.Random, params: PrimeParams) -> RkPoly:
     """A unit-leading divisor of x^n - 1 in R_k[x] with random nilpotent layers.
 
     Layer-by-layer lifting: given D*E = x^n - 1 up to u^j, absorb the u^j
@@ -124,7 +126,7 @@ def random_free_divisor(rng: random.Random, params: PrimeParams,
     divisors = [f for f in divisors_xn_minus_1(params) if f != xn1]
     d = rng.choice(divisors)
     X = RkPoly.from_fp(xn1, params)
-    for _ in range(attempts):
+    for _ in range(LIFT_ATTEMPTS):
         e = xn1 // d
         D, E = RkPoly.from_fp(d, params), RkPoly.from_fp(e, params)
         g, alpha, beta = poly_xgcd(d, e)
@@ -348,12 +350,14 @@ def _inner_product_layers(a, b, params: PrimeParams) -> np.ndarray:
 
 
 def check_dual(rng, trials, budget) -> CheckResult:
+    # also the report's dual facts, read by theorem, against the nullspace dual
     res = CheckResult("dual-plumbing")
     for _ in range(trials):
         params = random_params(rng, ps=(2, 3), kmax=3, nmax=6)
         code = random_code(rng, params)
         dual = code.dual()
-        ok = code.dim + dual.dim == params.k * params.n
+        ok = dual.dim == params.k * params.n - code.dim
+        ok = ok and code.is_self_dual() == (dual == code)
         ok = ok and not _inner_product_layers(dual.footprint, code.footprint, params).any()
         ok = ok and dual.dual() == code
         res.record(ok, _repro(code))

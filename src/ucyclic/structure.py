@@ -5,6 +5,7 @@ the codeword of u-valuation i whose layer i is the torsion generator g_i and
 whose higher layers j lie below deg g_j (`CyclicCode.level_generators`).  It
 is built once per code and checked by one certificate per lifted generator,
 from which the other structure results follow by theorem (`canonical_form`).
+Coprime enumeration builds each code from its divisor chain's F_p-basis.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from . import linalg
 from .chainring import RkPoly
-from .code import CyclicCode, TorsionTower, code_from_generators
+from .code import CyclicCode, TorsionTower
 from .gfp import FpPoly, PrimeParams, factor_xn_minus_1
 from .linalg import InvariantError
 
@@ -158,19 +161,11 @@ class ConstraintCheck:
     vacuous: bool
     chain_cofactors_ok: bool
     repeated_cofactors_ok: bool
-    deg_mixing: object
-    deg_bound: int
 
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    shape: str
-    chain_ok: bool
     checks: tuple[ConstraintCheck, ...]
-
-    @property
-    def all_chain_cofactors_ok(self) -> bool:
-        return all(c.chain_cofactors_ok for c in self.checks)
 
 
 def verify_constraints(code: CyclicCode) -> ConstraintReport:
@@ -178,12 +173,10 @@ def verify_constraints(code: CyclicCode) -> ConstraintReport:
 
     The torsion chain itself is mandatory (checked inside torsion_tower); the
     mixing-layer conditions are evaluated and reported in both readings, never
-    enforced.  The zero code yields an empty report.
+    enforced.  The zero code has no present level, so its report is empty.
     """
     cf = canonical_form(code)
     tower = cf.tower
-    if code.dim == 0:
-        return ConstraintReport(cf.shape, True, ())
     params = code.params
     xn1 = _xn1(params)
     checks = []
@@ -193,8 +186,7 @@ def verify_constraints(code: CyclicCode) -> ConstraintReport:
             m = g_s.ulayers[j]
             gj = tower.gens[j]
             if m.is_zero:
-                checks.append(ConstraintCheck(s, j, m, True, True, True,
-                                              m.degree, gj.degree))
+                checks.append(ConstraintCheck(s, j, m, True, True, True))
                 continue
             mixed = m
             for t in range(s, j):
@@ -205,9 +197,8 @@ def verify_constraints(code: CyclicCode) -> ConstraintReport:
             for _ in range(j - s):
                 repeated = repeated * cof
             repeated_ok = (repeated % gj).is_zero
-            checks.append(ConstraintCheck(s, j, m, False, chain_ok, repeated_ok,
-                                          m.degree, gj.degree))
-    return ConstraintReport(cf.shape, True, tuple(checks))
+            checks.append(ConstraintCheck(s, j, m, False, chain_ok, repeated_ok))
+    return ConstraintReport(tuple(checks))
 
 
 def rank(code: CyclicCode) -> int:
@@ -254,11 +245,15 @@ def cardinality_formula_check(code: CyclicCode) -> tuple[int, int, bool]:
 def enumerate_coprime(params: PrimeParams) -> list[CyclicCode]:
     """Every cyclic code of length n over R_k when gcd(n, p) = 1.
 
-    One chain per componentwise-monotone exponent vector over the squarefree
-    factorization of x^n - 1: each irreducible factor appears in the bottom
-    t levels of the tower for some threshold t in [0, k].  Codes are
-    deduplicated by footprint and sorted by (dim, footprint bytes), with the
-    zero code last.
+    One divisor chain g_(k-1) | ... | g_0 | x^n - 1 per threshold vector over
+    the squarefree factorization of x^n - 1: each irreducible factor divides
+    g_i exactly for the levels i below its threshold t in [0, k].  The code
+    <u^i g_i : i < k> is built, with the closure checks of `from_rows`, from
+    its F_p-basis {u^i x^j g_i : j < n - deg g_i}: each element lies in layer
+    i with degree below n, so its row is g_i shifted by j coordinates.
+    Theorem (Dinh and Lopez-Permouth, IEEE-IT 2004): the code's torsion tower
+    is its chain, so the (k + 1)^r threshold vectors give distinct codes,
+    sorted by (dim, footprint bytes) with the zero code last.
     """
     if not params.coprime:
         raise ValueError("enumeration implemented for coprime case only")
@@ -266,18 +261,16 @@ def enumerate_coprime(params: PrimeParams) -> list[CyclicCode]:
     count = (params.k + 1) ** len(facs)
     if count > CHAIN_CAP:
         raise ValueError(f"divisor-chain count too large: {count} chains exceed cap {CHAIN_CAP}")
-    xn1 = _xn1(params)
-    seen: dict[bytes, CyclicCode] = {}
-    for thresholds in itertools.product(range(params.k + 1), repeat=len(facs)):
-        gens = []
-        for i in range(params.k):
-            g = prod((q for q, t in zip(facs, thresholds) if t > i),
-                     start=FpPoly.one(params.p))
-            if g != xn1:
-                gens.append(RkPoly.from_fp(g, params, level=i))
-        code = code_from_generators(params, gens)
-        seen.setdefault(code.footprint_bytes(), code)
-    codes = sorted((c for c in seen.values() if c.dim > 0),
-                   key=lambda c: (c.dim, c.footprint_bytes()))
-    zero = [c for c in seen.values() if c.dim == 0]
-    return codes + zero
+    k, n = params.k, params.n
+    codes = []
+    for thresholds in itertools.product(range(k + 1), repeat=len(facs)):
+        chain = [prod((q for q, t in zip(facs, thresholds) if t > i),
+                      start=FpPoly.one(params.p)) for i in range(k)]
+        rows = np.zeros((sum(n - g.degree for g in chain), n, k), dtype=np.int64)
+        r = 0
+        for i, g in enumerate(chain):
+            for j in range(n - g.degree):
+                rows[r, j:j + len(g.coeffs), i] = g.coeffs
+                r += 1
+        codes.append(CyclicCode.from_rows(params, rows.reshape(-1, k * n)))
+    return sorted(codes, key=lambda c: (c.dim == 0, c.dim, c.footprint_bytes()))

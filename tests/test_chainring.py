@@ -159,42 +159,6 @@ class TestDivides:
         assert r == RkPoly.one(pp)
 
 
-class TestSubring:
-    def test_drop_top_layer(self):
-        pp = PrimeParams(2, 2, 4)
-        g = rpoly([[1, 0, 1], [1]], pp)
-        assert g.reduce_to_subring(1) == RkPoly.from_fp(FpPoly([1, 0, 1], 2), PrimeParams(2, 1, 4))
-
-    def test_zero_top_layer_lossless(self):
-        pp = PrimeParams(3, 3, 5)
-        g = rpoly([[1, 2], [1], []], pp)
-        sub = g.reduce_to_subring(2)
-        assert sub.ulayers == g.ulayers[:2]
-
-    def test_truncate_tower_of_ones(self):
-        pp = PrimeParams(3, 3, 5)
-        g = rpoly([[1], [1], [1]], pp)
-        assert g.reduce_to_subring(2) == rpoly([[1], [1]], PrimeParams(3, 2, 5))
-
-    def test_out_of_range(self):
-        pp = PrimeParams(3, 3, 5)
-        g = RkPoly.one(pp)
-        for j in (0, 3, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                g.reduce_to_subring(j)
-
-    def test_ring_homomorphism_random(self):
-        rng = random.Random(31)
-        for _ in range(150):
-            p = rng.choice([2, 3])
-            k = rng.randint(2, 4)
-            pp = PrimeParams(p, k, 5)
-            j = rng.randint(1, k - 1)
-            a, b = random_poly(rng, pp), random_poly(rng, pp)
-            assert (a * b).reduce_to_subring(j) == a.reduce_to_subring(j) * b.reduce_to_subring(j)
-            assert (a + b).reduce_to_subring(j) == a.reduce_to_subring(j) + b.reduce_to_subring(j)
-
-
 class TestVectors:
     def test_roundtrip(self):
         rng = random.Random(41)

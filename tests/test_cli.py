@@ -11,7 +11,8 @@ from ucyclic import cli, structure
 from ucyclic.chainring import RkPoly
 from ucyclic.cli import (build_report, format_fp_poly, format_rk_poly, main,
                          parse_budget, parse_fp_poly, parse_rk_poly)
-from ucyclic.code import code_from_generators, code_from_json_dict, code_to_json
+from ucyclic.code import (CyclicCode, code_from_generators, code_from_json_dict,
+                          code_to_json)
 from ucyclic.gfp import FpPoly, PrimeParams
 from ucyclic.linalg import InvariantError
 
@@ -206,6 +207,24 @@ class TestAnalyzeCommand:
         rc, _, err = run_cli(["analyze"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "0^3"])
+    def test_nonpositive_budget_is_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--p", "2", "--k", "1", "--n", "3", "--gen", "x+1",
+                  "--budget", budget])
+        assert exc.value.code == 2
+        assert "budget must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,message", [("--p", "p must be a prime"),
+                                               ("--k", "k must be in"),
+                                               ("--n", "n must be in")])
+    def test_zero_parameter_reports_real_error(self, field, message, capsys):
+        args = {"--p": "2", "--k": "1", "--n": "3", field: "0"}
+        argv = ["analyze", "--gen", "x+1"] + [s for kv in args.items() for s in kv]
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert message in err
+
     def test_invariant_error_exit_4(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise InvariantError("lifted generators do not reconstruct the code")
@@ -218,35 +237,36 @@ class TestAnalyzeCommand:
 
     def test_report_reconstructs_once(self, monkeypatch):
         # three present levels; the canonical form is checked by its
-        # certificate, not by a rebuild, and the shape, freeness, constraints
-        # and spanning set follow from it, so structure rebuilds nothing; the
-        # certificate's membership reduction runs once per code, not once per
-        # use of the canonical form
+        # certificate, not by a rebuild, the shape, freeness, constraints and
+        # spanning set follow from it, and the dual fields are read by
+        # theorem, so the report constructs no code; the certificate's
+        # membership reduction runs once per code, not once per use of the
+        # canonical form
         pp = PrimeParams(2, 3, 4)
         code = code_from_generators(pp, [
             RkPoly([FpPoly([1, 1, 1, 1], 2), FpPoly([0, 1], 2)], pp),
             RkPoly([[], FpPoly([1, 0, 1], 2)], pp),
             RkPoly([[], [], FpPoly([1, 1], 2)], pp)])
         assert structure.canonical_form(code).present_levels == (0, 1, 2)
-        calls = []
-        real = structure.code_from_generators
-
-        def counting(params, gens):
-            calls.append(len(gens))
-            return real(params, gens)
-        monkeypatch.setattr(structure, "code_from_generators", counting)
         fresh = code_from_generators(pp, list(code.generators))
+        built = []
+        real_from_rows = CyclicCode.from_rows.__func__
+
+        def counting_from_rows(cls, params, rows, generators=()):
+            built.append(params)
+            return real_from_rows(cls, params, rows, generators)
+        monkeypatch.setattr(CyclicCode, "from_rows", classmethod(counting_from_rows))
         reductions = []
         real_reduce = structure.linalg.reduce_vector
 
         def counting_reduce(R, pivots, v, p):
-            if R is fresh.footprint:  # the report also builds other codes
+            if R is fresh.footprint:
                 reductions.append(len(v))
             return real_reduce(R, pivots, v, p)
         monkeypatch.setattr(structure.linalg, "reduce_vector", counting_reduce)
         build_report(fresh)
         build_report(fresh)
-        assert calls == []
+        assert built == []
         assert reductions == [3]
 
 
@@ -287,6 +307,12 @@ class TestVerifyCommand:
         rc, out, _ = run_cli(["verify", "--suite", "dual",
                               "--trials", "20", "--seed", "1"], capsys)
         assert rc == 0
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "dual", "--trials", "-3"])
+        assert exc.value.code == 2
+        assert "trials must be non-negative" in capsys.readouterr().err
 
     def test_distance_suite_reports_formula_defect(self, capsys):
         # the closed-form sweep honestly disagrees with the oracle at the

@@ -15,6 +15,8 @@ from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
 from ucyclic.linalg import InvariantError
+from ucyclic.properties import random_code, random_params
+from ucyclic.structure import enumerate_coprime
 
 from test_structure import edge_code
 
@@ -233,6 +235,7 @@ class TestDual:
         code = code_from_generators(pp, [gen(FpPoly.one(2), pp, level=1)])
         dual = code.dual()
         assert dual == code
+        assert code.is_self_dual()
         assert code.dim + dual.dim == pp.k * pp.n
         # independent 16-element orthogonality oracle
         members = []
@@ -293,6 +296,23 @@ class TestDual:
                 for c in code.footprint.tolist():
                     prod = rk_inner(RkPoly.from_vector(v, pp), RkPoly.from_vector(c, pp))
                     assert prod.is_zero
+
+    def test_self_dual_by_theorem_matches_dual_random(self):
+        rng = random.Random(7)
+        verdicts = []
+        for _ in range(400):
+            code = random_code(rng, random_params(rng, ps=(2, 3, 5), kmax=4, nmax=12))
+            assert code.is_self_dual() == (code.dual() == code), code.to_json_dict()
+            verdicts.append(code.is_self_dual())
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 7), (5, 2, 4), (3, 2, 8)])
+    def test_self_dual_by_theorem_matches_dual_enumerated(self, p, k, n):
+        self_dual = 0
+        for code in enumerate_coprime(PrimeParams(p, k, n)):
+            assert code.is_self_dual() == (code.dual() == code)
+            self_dual += code.is_self_dual()
+        assert self_dual == 3
 
     def test_row_built_code_has_no_generators(self):
         dual = code_from_generators(P345, [gen(G1, P345)]).dual()
