@@ -229,11 +229,14 @@ def cmd_enumerate(args) -> int:
     codes = enumerate_coprime(params)
     nonzero = [c for c in codes if c.dim > 0]
     rows = []
+    distances = {}  # the distance depends only on the top torsion generator
     for code in nonzero:
         h = collapse_coprime(code)
+        top = code.torsion_tower().gens[-1]
+        if top not in distances:
+            distances[top] = code.min_distance(budget=args.budget)
         rows.append({"generator": format_rk_poly(h), "rank": rank(code),
-                     "log_cardinality": code.dim,
-                     "distance": code.min_distance(budget=args.budget)})
+                     "log_cardinality": code.dim, "distance": distances[top]})
     if args.include_zero:
         rows.append({"generator": "0", "rank": 0, "log_cardinality": 0,
                      "distance": None, "zero_code": True})

@@ -3,19 +3,24 @@
 Polynomials are immutable coefficient tuples, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple and its degree is the
 sentinel NEG_INF, which orders below every integer.  Beyond ring arithmetic
-the module factors x^n - 1, enumerates its monic divisor lattice, and finds
-the minimum Hamming weight of a cyclic code over F_p by exhaustive
+the module factors x^n - 1 (cyclotomic split, then Cantor-Zassenhaus
+equal-degree factorization of each cyclotomic polynomial whose factor degree
+ord_d(p) is known in advance), enumerates its monic divisor lattice, and
+finds the minimum Hamming weight of a cyclic code over F_p by exhaustive
 enumeration of its codewords.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from . import linalg
-from .linalg import BudgetError
+from .linalg import BudgetError, InvariantError
 
 __all__ = [
     "NEG_INF", "BudgetError", "is_prime", "PrimeParams", "FpPoly",
@@ -251,54 +256,115 @@ def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     return a.monic()
 
 
-def _monic_polys(d: int, p: int):
-    """All monic polynomials of degree d, lexicographic in (c_0, ..., c_{d-1})."""
-    for tail in itertools.product(range(p), repeat=d):
-        yield FpPoly(tail + (1,), p)
+# Each attempt separates two given factors with probability at least 4/9, so
+# 64 attempts leave all pairs (at most 1770, in one Phi_d at n <= 64) separated
+# but for odds below 10^-13; the bound only guarantees that the search ends.
+SPLIT_ATTEMPTS = 64
 
 
-def _factor_monic(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Trial-division factorization of a monic polynomial.
+def _mul_mod(a, b, low, p):
+    """a*b mod f for coefficient arrays of length d = deg f.
 
-    Candidates of degree d are enumerated exhaustively, which costs p^d
-    divisions per degree: a cost cliff for large p once factors of degree >= 2
-    survive.  The x^n - 1 instances at desk sizes stay cheap.
+    `low` holds x^j mod f for j in [d, 2d - 2], one row each.  Entries stay
+    below 64 p^2 < 2^38, so int64 arithmetic is exact.
     """
-    p = f.p
-    out = []
-    d = 1
-    while 2 * d <= f.degree:
-        for q in _monic_polys(d, p):
-            if (f % q).is_zero:
-                m = 0
-                while (f % q).is_zero:
-                    f = f // q
-                    m += 1
-                out.append((q, m))
-                if 2 * d > f.degree:
-                    break
-        d += 1
-    if f.degree >= 1:
-        out.append((f, 1))
+    c = np.convolve(a, b) % p
+    d = len(a)
+    return (c[:d] + c[d:] @ low) % p
+
+
+def _pow_mod(a, e, low, p):
+    out = np.zeros(len(a), dtype=np.int64)
+    out[0] = 1
+    while e:
+        if e & 1:
+            out = _mul_mod(out, a, low, p)
+        a = _mul_mod(a, a, low, p)
+        e >>= 1
     return out
+
+
+def _equal_degree_split(f: FpPoly, e: int, rng: random.Random) -> list[FpPoly]:
+    """Split a squarefree monic f, all of whose irreducible factors have degree e.
+
+    Cantor-Zassenhaus: for a random a mod f, the splitting polynomial is
+    a^((p^e - 1)/2) - 1 (odd p) or the trace a + a^2 + ... + a^(2^(e-1))
+    (p = 2).  In each factor's field F_(p^e) it vanishes for about half of
+    the elements, so its gcd with a piece of f separates two given factors
+    with probability about 1/2.  Every piece is split by the same element.
+    """
+    p, d = f.p, f.degree
+    low = np.zeros((d - 1, d), dtype=np.int64)
+    row = np.array([-c % p for c in f.coeffs[:d]], dtype=np.int64)  # x^d mod f
+    for j in range(d - 1):
+        low[j] = row
+        row = (np.concatenate(([0], row[:-1])) + row[-1] * low[0]) % p
+    pieces = [f]
+    for _ in range(SPLIT_ATTEMPTS):
+        if all(g.degree <= e for g in pieces):
+            return pieces
+        a = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+        if p == 2:
+            s = a
+            for _ in range(e - 1):
+                a = _mul_mod(a, a, low, p)
+                s = s ^ a
+        else:
+            s = _pow_mod(a, (p ** e - 1) // 2, low, p)
+            s[0] -= 1
+        split = FpPoly(s, p)
+        out = []
+        for g in pieces:
+            h = poly_gcd(g, split) if g.degree > e else g
+            out += [h, g // h] if 0 < h.degree < g.degree else [g]
+        pieces = out
+    raise InvariantError(f"no equal-degree split of a degree-{d} factor "
+                         f"in {SPLIT_ATTEMPTS} attempts")
 
 
 def factor_xn_minus_1(params: PrimeParams) -> list[tuple[FpPoly, int]]:
     """Irreducible factorization of x^n - 1 over F_p as (monic factor, multiplicity).
 
-    With n = p^a * m and gcd(m, p) = 1, x^n - 1 = (x^m - 1)^(p^a); the
-    squarefree part x^m - 1 is factored by trial division and every
-    multiplicity is then scaled by p^a.  Sorted by (degree, coefficients).
+    With n = p^a * m and gcd(m, p) = 1, x^n - 1 = (x^m - 1)^(p^a), so every
+    multiplicity is p^a.  The squarefree part is the product of the
+    cyclotomic polynomials Phi_d over d | m, each obtained by exact division
+    of x^d - 1 by the Phi_c with c | d, c < d.  Phi_d splits mod p into
+    irreducible factors all of degree ord_d(p): it is kept whole when that is
+    its degree and split by `_equal_degree_split` otherwise.  The factor
+    degrees and the product x^m - 1 are checked.  Sorted by (degree,
+    coefficients); factorization is unique, so the output does not depend on
+    the random elements the splitting draws.
     """
     p, n = params.p, params.n
     a, m = 0, n
     while m % p == 0:
         m //= p
         a += 1
-    mult = p ** a
-    facs = [(q, e * mult) for q, e in _factor_monic(FpPoly.xn_minus_1(m, p))]
-    facs.sort(key=lambda qe: (qe[0].degree, qe[0].coeffs))
-    return facs
+    rng = random.Random(0)
+    phis = {}
+    factors = []
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        phi = FpPoly.xn_minus_1(d, p)
+        for c, q in phis.items():
+            if d % c == 0:
+                phi = phi // q
+        phis[d] = phi
+        e = 1
+        while pow(p, e, d) != 1 % d:
+            e += 1
+        split = [phi] if phi.degree == e else _equal_degree_split(phi, e, rng)
+        if any(q.degree != e for q in split):
+            raise InvariantError(f"a factor of Phi_{d} does not have degree {e}")
+        factors += split
+    prod = np.ones(1, dtype=np.int64)
+    for q in factors:
+        prod = np.convolve(prod, q.coeffs) % p
+    if FpPoly(prod, p) != FpPoly.xn_minus_1(m, p):
+        raise InvariantError(f"the factors do not multiply to x^{m} - 1")
+    factors.sort(key=lambda q: (q.degree, q.coeffs))
+    return [(q, p ** a) for q in factors]
 
 
 def divisors_xn_minus_1(params: PrimeParams, cap: int = 1 << 20) -> list[FpPoly]:

@@ -294,6 +294,29 @@ class TestEnumerateCommand:
         assert doc["nonzero_count"] == 2
         assert len(doc["codes"]) == 3
 
+    def test_one_distance_per_top_generator(self, capsys, monkeypatch):
+        # x^7 - 1 has 3 factors over F_2: 26 nonzero codes, 7 distinct tops
+        codes = [c for c in structure.enumerate_coprime(PrimeParams(2, 2, 7)) if c.dim]
+        tops = []
+        real = CyclicCode.min_distance
+
+        def counting(code, budget):
+            tops.append(code.torsion_tower().gens[-1])
+            return real(code, budget)
+        monkeypatch.setattr(CyclicCode, "min_distance", counting)
+        rc, out, _ = run_cli(["enumerate", "--p", "2", "--k", "2", "--n", "7",
+                              "--format", "json"], capsys)
+        assert rc == 0
+        assert len(tops) == len(set(tops)) == 7
+        assert ([row["distance"] for row in json.loads(out)["codes"]]
+                == [c.min_distance_bruteforce() for c in codes])
+
+    def test_budget_exceeded_exit_3(self, capsys):
+        rc, _, err = run_cli(["enumerate", "--p", "2", "--k", "2", "--n", "7",
+                              "--budget", "4"], capsys)
+        assert rc == 3
+        assert "budget" in err
+
 
 class TestVerifyCommand:
     def test_generators_suite_passes(self, capsys):

@@ -1,11 +1,18 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ucyclic
+from ucyclic import gfp
 from ucyclic.gfp import (BudgetError, FpPoly, PrimeParams, divisors_xn_minus_1,
                          factor_xn_minus_1, fp_cyclic_min_weight, is_prime,
                          poly_gcd, poly_xgcd)
+from ucyclic.linalg import InvariantError
 
 
 def P(coeffs, p):
@@ -167,6 +174,92 @@ class TestFactor:
         facs = factor_xn_minus_1(PrimeParams(2, 1, 15))
         keys = [(q.degree, q.coeffs) for q, _ in facs]
         assert keys == sorted(keys)
+
+
+def trial_division_factors(p, n):
+    # reference: divide x^n - 1 by every monic candidate of each degree in turn
+    f, out, d = FpPoly.xn_minus_1(n, p), [], 1
+    while 2 * d <= f.degree:
+        for tail in itertools.product(range(p), repeat=d):
+            q, e = P(tail + (1,), p), 0
+            while (f % q).is_zero:
+                f, e = f // q, e + 1
+            if e:
+                out.append((q, e))
+        d += 1
+    if f.degree >= 1:
+        out.append((f, 1))
+    return sorted(out, key=lambda qe: (qe[0].degree, qe[0].coeffs))
+
+
+def coset_sizes(p, m):
+    # sizes of the orbits of c -> p*c on Z_m
+    seen, sizes = set(), []
+    for c in range(m):
+        size = 0
+        while c not in seen:
+            seen.add(c)
+            c, size = c * p % m, size + 1
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+class TestFactorEnvelope:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 251, 65521])
+    def test_every_length(self, p):
+        for n in range(1, 65):
+            a, m = 0, n
+            while m % p == 0:
+                a, m = a + 1, m // p
+            facs = factor_xn_minus_1(PrimeParams(p, 1, n))
+            assert all(q.lead == 1 for q, _ in facs), n
+            assert all(e == p ** a for _, e in facs), n
+            assert sorted(q.degree for q, _ in facs) == coset_sizes(p, m), n
+            keys = [(q.degree, q.coeffs) for q, _ in facs]
+            assert keys == sorted(keys), n
+            prod = FpPoly.one(p)
+            for q, e in facs:
+                prod = prod * q ** e
+            assert prod == FpPoly.xn_minus_1(n, p), n
+
+    # trial division needs 3^11, 5^8, 5^9 and 5^11 candidates at the points left out
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in range(1, 25)
+                                     if (p, n) not in {(3, 23), (5, 17), (5, 19), (5, 23)}])
+    def test_matches_trial_division(self, p, n):
+        facs = factor_xn_minus_1(PrimeParams(p, 1, n))
+        ref = trial_division_factors(p, n)
+        assert [(q.coeffs, e) for q, e in facs] == [(q.coeffs, e) for q, e in ref]
+
+    # Phi_15 splits into two quartics over F_2; dropping one breaks the
+    # product, merging them breaks the degree
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    @pytest.mark.parametrize("patch,message", [
+        ("fs[:-1]", "do not multiply"),
+        ("[fs[0] * fs[1]] + fs[2:]", "does not have degree"),
+    ])
+    def test_bad_split_is_internal_error(self, flags, patch, message):
+        script = ("import sys\n"
+                  "from ucyclic import cli, gfp\n"
+                  "split = gfp._equal_degree_split\n"
+                  f"gfp._equal_degree_split = lambda *args: (lambda fs: {patch})(split(*args))\n"
+                  "sys.exit(cli.main(['factor', '--p', '2', '--n', '15']))\n")
+        src = str(Path(ucyclic.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("internal error:")
+        assert message in proc.stderr
+
+    def test_split_attempts_are_bounded(self, monkeypatch):
+        # the element 0 never splits, so the attempt count must end the search
+        class Zero(random.Random):
+            def randrange(self, *args):
+                return 0
+        monkeypatch.setattr(gfp.random, "Random", Zero)
+        with pytest.raises(InvariantError, match="attempts"):
+            factor_xn_minus_1(PrimeParams(2, 1, 15))
 
 
 class TestDivisors:

@@ -1,6 +1,7 @@
 import random
 
 from ucyclic import properties
+from ucyclic.gfp import FpPoly, PrimeParams
 from ucyclic.properties import check_distance_sweep, check_rank_and_spanning, run_suite
 from ucyclic.structure import SpanningSet
 
@@ -32,3 +33,13 @@ def test_rank_check_rejects_a_set_that_does_not_span(monkeypatch):
     monkeypatch.setattr(properties, "minimal_spanning_set", short)
     res = check_rank_and_spanning(random.Random(0), 10, 1 << 16)
     assert res.total == 10 and not res.ok
+
+
+def test_random_chain_at_the_envelope_edge():
+    params = PrimeParams(3, 8, 64)
+    xn1 = FpPoly.xn_minus_1(64, 3)
+    for seed in range(3):
+        chain = properties.random_chain(random.Random(seed), params)
+        assert len(chain) == 8
+        assert (xn1 % chain[0]).is_zero
+        assert all((a % b).is_zero for a, b in zip(chain, chain[1:]))
