@@ -35,10 +35,6 @@ class RkElem:
     def one(cls, params: PrimeParams) -> "RkElem":
         return cls((1,), params)
 
-    @classmethod
-    def u(cls, params: PrimeParams, power: int = 1) -> "RkElem":
-        return cls((0,) * power + (1,), params)
-
     @property
     def is_zero(self) -> bool:
         return not any(self.layers)
@@ -228,13 +224,6 @@ class RkPoly:
                     if not l.is_zero:
                         out[i + j] = out[i + j] + l * d
         return RkPoly(out, self.params)
-
-    def times_u(self, m: int = 1) -> "RkPoly":
-        """Multiply by u^m: shift the layer stack up, dropping overflow."""
-        if m == 0:
-            return self
-        zero = FpPoly.zero(self.params.p)
-        return RkPoly((zero,) * m + self.ulayers[:self.params.k - m], self.params)
 
     def shift_x(self, e: int) -> "RkPoly":
         return RkPoly([l.shift(e) for l in self.ulayers], self.params)

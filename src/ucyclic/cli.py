@@ -84,10 +84,17 @@ def format_rk_poly(g: RkPoly) -> str:
     return "; ".join(format_fp_poly(l) for l in g.ulayers)
 
 
+BUDGET_CAP = 1 << 8192  # exceeds every codeword count in the envelope
+
+
 def parse_budget(text: str) -> int:
-    """Positive integer, plain or in `2^N` notation."""
+    """Positive integer, plain or in `a^b` notation, clamped at BUDGET_CAP:
+    no request needs more than p^(kn) <= 65521^512 < 2^8192 codewords.  A
+    power past the cap is not computed, as a^b >= 2^((bits(a) - 1) * b)."""
     m = re.fullmatch(r"(\d+)\^(\d+)", text.strip())
-    budget = int(m.group(1)) ** int(m.group(2)) if m else int(text)
+    a, b = (int(m.group(1)), int(m.group(2))) if m else (int(text), 1)
+    huge = a > 1 and (a.bit_length() - 1) * b >= BUDGET_CAP.bit_length() - 1
+    budget = BUDGET_CAP if huge else min(a ** b, BUDGET_CAP)
     if budget < 1:
         raise argparse.ArgumentTypeError(f"budget must be at least 1, got {budget}")
     return budget

@@ -6,8 +6,9 @@ column i*k + j.  The footprint is canonical, so it is the equality, hashing
 and sorting key; the stored generator list is presentation only, and a code
 built from rows (such as a dual) has none.  Every construction checks closure
 of the footprint under the cyclic shift (x-multiplication) and under
-u-multiplication.  The torsion tower and the canonical lifted generators are
-read off one more echelon form of the footprint, computed once per code
+u-multiplication.  The echelon form visits the columns layer-major, highest
+degree first (`_echelon`), so the torsion tower and the canonical lifted
+generators are read off its rows with no further elimination
 (`CyclicCode.level_generators`).  The dual is one F_p-nullspace: v is
 orthogonal to a u-closed code iff the top u-layer of every inner product v . c
 vanishes, and that layer is the F_p dot product of v with c's u-layers
@@ -49,6 +50,18 @@ def _layer_reversal(n: int, k: int) -> list[int]:
     return [i * k + (k - 1 - j) for i in range(n) for j in range(k)]
 
 
+def _echelon(params: PrimeParams, rows) -> tuple[np.ndarray, list[int]]:
+    """RREF of the rows with the columns visited layer-major, highest degree
+    first; R keeps the i*k + j layout and the pivots, in visit order, are
+    natural column indices.  The RREF for a fixed column order is unique."""
+    k, n = params.k, params.n
+    order = [i * k + j for j in range(k) for i in reversed(range(n))]
+    E, piv = linalg.rref(linalg.as_matrix(rows, k * n, params.p)[:, order], params.p)
+    R = np.empty_like(E)
+    R[:, order] = E
+    return R, [order[c] for c in piv]
+
+
 def _u_multiples(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     # rows, u*rows, ..., u^(k-1)*rows, stacked
     out = [rows]
@@ -83,7 +96,7 @@ class CyclicCode:
     """An ideal of R_k[x]/(x^n - 1); immutable once constructed."""
 
     __slots__ = ("params", "generators", "footprint", "pivots", "dim",
-                 "_levels", "_tower", "_canonical")
+                 "_tower", "_canonical")
 
     def __init__(self, params: PrimeParams, generators, footprint: np.ndarray, pivots):
         self.params = params
@@ -93,7 +106,6 @@ class CyclicCode:
         self.footprint = footprint
         self.pivots = list(pivots)
         self.dim = int(footprint.shape[0])
-        self._levels = None
         self._tower = None
         self._canonical = None
 
@@ -101,11 +113,8 @@ class CyclicCode:
 
     @classmethod
     def from_rows(cls, params: PrimeParams, rows, generators=()) -> "CyclicCode":
-        """Build from spanning F_p row vectors; checks shift and u closure."""
-        k, n = params.k, params.n
-        M = linalg.as_matrix(rows, k * n, params.p)
-        R, piv = linalg.rref(M, params.p)
-        code = cls(params, generators, R, piv)
+        """Build from spanning F_p row vectors (`_echelon`); checks shift and u closure."""
+        code = cls(params, generators, *_echelon(params, rows))
         code._assert_closed()
         return code
 
@@ -154,22 +163,16 @@ class CyclicCode:
         torsion generator g_i and whose layers j > i have degree < deg g_j;
         None when Tor_i is zero.
 
-        It is the last row of layer block i in the footprint's echelon form
-        with columns ordered layer-major, highest degree first: block i's
-        pivots restricted to layer i are Tor_i's echelon basis, whose last row
-        is g_i, and the pivots of block j sit at degrees deg g_j .. n-1.
+        It is the last footprint row whose pivot lies in layer i: the
+        footprint's columns are visited layer-major, highest degree first, so
+        the rows pivoting in layer i restricted to it are Tor_i's echelon
+        basis, whose last row is g_i, and layer j's pivots sit at degrees
+        deg g_j .. n-1.
         """
-        if self._levels is None:
-            p, k, n = self.params.p, self.params.k, self.params.n
-            order = [i * k + j for j in range(k) for i in reversed(range(n))]
-            E, piv = linalg.rref(self.footprint[:, order], p)
-            rows = np.empty_like(E)
-            rows[:, order] = E
-            last = {c // n: r for r, c in enumerate(piv)}
-            self._levels = tuple(
-                RkPoly.from_vector(rows[last[i]].tolist(), self.params) if i in last else None
-                for i in range(k))
-        return self._levels
+        k = self.params.k
+        last = {c % k: r for r, c in enumerate(self.pivots)}
+        return tuple(RkPoly.from_vector(self.footprint[last[i]].tolist(), self.params)
+                     if i in last else None for i in range(k))
 
     def torsion_tower(self) -> TorsionTower:
         if self._tower is not None:
@@ -183,10 +186,11 @@ class CyclicCode:
                 raise InvariantError("torsion divisibility chain broken")
         if not (xn1 % gens[0]).is_zero:
             raise InvariantError("torsion generator does not divide x^n - 1")
-        if sum(n - g.degree for g in gens) != self.dim:
+        tower = TorsionTower(self.params, tuple(gens))
+        if tower.dim != self.dim:
             raise InvariantError("torsion degrees inconsistent with code dimension")
-        self._tower = TorsionTower(self.params, tuple(gens))
-        return self._tower
+        self._tower = tower
+        return tower
 
     def dual(self) -> "CyclicCode":
         """Orthogonal code under the R_k-valued Euclidean inner product.

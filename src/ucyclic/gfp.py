@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
+DIVISOR_CAP = 1 << 20  # most divisors divisors_xn_minus_1 will build
 
 
 def is_prime(m: int) -> bool:
@@ -367,14 +368,14 @@ def factor_xn_minus_1(params: PrimeParams) -> list[tuple[FpPoly, int]]:
     return [(q, p ** a) for q in factors]
 
 
-def divisors_xn_minus_1(params: PrimeParams, cap: int = 1 << 20) -> list[FpPoly]:
+def divisors_xn_minus_1(params: PrimeParams) -> list[FpPoly]:
     """All monic divisors of x^n - 1 over F_p, sorted by (degree, coefficients)."""
     facs = factor_xn_minus_1(params)
     count = 1
     for _, e in facs:
         count *= e + 1
-    if count > cap:
-        raise ValueError(f"divisor lattice too large: {count} divisors exceed cap {cap}")
+    if count > DIVISOR_CAP:
+        raise ValueError(f"divisor lattice too large: {count} divisors exceed cap {DIVISOR_CAP}")
     pows = []
     for q, e in facs:
         acc = [FpPoly.one(params.p)]

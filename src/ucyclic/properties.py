@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .chainring import RkPoly
-from .code import CyclicCode, _shift_u, _u_multiples, code_from_generators
+from .code import CyclicCode, _echelon, _shift_u, _u_multiples, code_from_generators
 from .distance import distance_power_length, product_law_check
 from .gfp import (FpPoly, PrimeParams, divisors_xn_minus_1, factor_xn_minus_1,
                   fp_cyclic_min_weight, poly_gcd, poly_xgcd)
@@ -223,13 +223,12 @@ def check_free(rng, trials, budget) -> CheckResult:
 def _module_span(params: PrimeParams, elements) -> CyclicCode:
     """The R_k-linear span (no x-multiples) of the elements, as a code object.
 
-    Span rows are u^m * e over F_p; closure checks are skipped since a bare
-    module span need not be an ideal.
+    Span rows are u^m * e over F_p, echelonized as a footprint; closure checks
+    are skipped since a bare module span need not be an ideal.
     """
     k, n = params.k, params.n
     v = linalg.as_matrix([e.to_vector() for e in elements], k * n, params.p)
-    R, piv = linalg.rref(_u_multiples(v, n, k), params.p)
-    return CyclicCode(params, (), R, piv)
+    return CyclicCode(params, (), *_echelon(params, _u_multiples(v, n, k)))
 
 
 def _irredundant(code: CyclicCode, elements) -> bool:

@@ -236,9 +236,7 @@ def cardinality_formula_check(code: CyclicCode) -> tuple[int, int, bool]:
     For k = 2 the tower formula specializes to 2n - 2r on free codes and to
     2n - r - t otherwise.
     """
-    tower = code.torsion_tower()
-    n = code.params.n
-    rhs = sum(n - d for d in tower.degrees)
+    rhs = code.torsion_tower().dim
     return code.dim, rhs, code.dim == rhs
 
 

@@ -58,7 +58,7 @@ class TestRkElem:
 
     def test_valuation(self):
         pp4 = PrimeParams(3, 4, 5)
-        assert (RkElem.u(pp4, 2) * RkElem((1, 1), pp4)).u_valuation() == 2
+        assert (RkElem((0, 0, 1), pp4) * RkElem((1, 1), pp4)).u_valuation() == 2
         assert RkElem.zero(pp4).u_valuation() == 4
         pp2 = PrimeParams(5, 2, 5)
         assert RkElem((3, 1), pp2).u_valuation() == 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -80,6 +81,34 @@ class TestBudget:
 
     def test_plain(self):
         assert parse_budget("1000") == 1000
+
+    def test_power_clamped_at_cap(self):
+        assert cli.BUDGET_CAP == 1 << 8192
+        assert parse_budget("2^8191") == 1 << 8191
+        assert parse_budget("3^5168") == 3 ** 5168  # just below 2^8192
+        for text in ("2^8192", "3^5169", "65521^1000", "7^99999999999"):
+            assert parse_budget(text) == 1 << 8192
+        assert parse_budget(str(1 << 9000)) == 1 << 8192
+
+    def test_bases_zero_and_one_stay_exact(self):
+        assert parse_budget("0^0") == 1
+        assert parse_budget("1^99999999999") == 1
+        with pytest.raises(argparse.ArgumentTypeError, match="at least 1"):
+            parse_budget("0^99999999999")
+
+    def test_huge_power_returns_fast(self):
+        # the unclamped power has ~2.8e11 bits and never finishes
+        src = str(Path(ucyclic.__file__).resolve().parents[1])
+        outs = []
+        for budget in ("7^99999999999", "2^8192"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ucyclic", "analyze", "--p", "2", "--k", "1",
+                 "--n", "3", "--gen", "x+1", "--budget", budget],
+                capture_output=True, text=True, timeout=30,
+                env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]
 
 
 class TestFactorCommand:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ucyclic
-from ucyclic import linalg
+from ucyclic import linalg, structure
 from ucyclic.chainring import RkElem, RkPoly
 from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
@@ -212,7 +212,83 @@ class TestTorsionTower:
             layers = [[rng.randrange(pp.p) for _ in range(pp.n)] for _ in range(pp.k)]
             code = code_from_generators(pp, [RkPoly(layers, pp)])
             tower = code.torsion_tower()
-            assert code.dim == sum(pp.n - g.degree for g in tower.gens)
+            assert code.dim == tower.dim == sum(pp.n - g.degree for g in tower.gens)
+
+
+def two_step_footprint(code):
+    """The footprint derived in two echelon forms (reference only): the RREF in
+    natural column order, then its RREF with the columns ordered layer-major,
+    highest degree first.  Returns the second form in the i*k + j layout, its
+    pivots as natural columns and, per level i, its last row pivoting in layer
+    i (None when there is none)."""
+    p, k, n = code.params.p, code.params.k, code.params.n
+    R, _ = linalg.rref(code.footprint, p)
+    order = [i * k + j for j in range(k) for i in reversed(range(n))]
+    E, piv = linalg.rref(R[:, order], p)
+    F = np.empty_like(E)
+    F[:, order] = E
+    last = {c // n: r for r, c in enumerate(piv)}
+    levels = tuple(RkPoly.from_vector(F[last[i]].tolist(), code.params) if i in last
+                   else None for i in range(k))
+    return F, [order[c] for c in piv], levels
+
+
+class TestSingleEchelon:
+    def _assert_matches_two_step(self, code):
+        F, piv, levels = two_step_footprint(code)
+        assert np.array_equal(code.footprint, F)
+        assert code.pivots == piv
+        assert code.level_generators() == levels
+
+    def test_random_codes_match_two_step_derivation(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            pp = PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(1, 6), rng.randint(1, 16))
+            code = random_subcode(rng, pp)
+            self._assert_matches_two_step(CyclicCode.from_rows(pp, code.footprint[::-1]))
+            self._assert_matches_two_step(code)
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_envelope_edge_matches_two_step_derivation(self, n):
+        self._assert_matches_two_step(edge_code(n, seed=5))
+
+    @staticmethod
+    def _count_rref(monkeypatch):
+        calls = []
+        real = linalg.rref
+
+        def counting(mat, p):
+            calls.append(np.shape(mat))
+            return real(mat, p)
+        monkeypatch.setattr(linalg, "rref", counting)
+        return calls
+
+    def test_one_rref_per_code_through_every_structure_read(self, monkeypatch):
+        rng = random.Random(43)
+        for pp in [PrimeParams(2, 3, 7), P345, PrimeParams(5, 2, 4), PrimeParams(7, 3, 8),
+                   PrimeParams(2, 1, 1)]:
+            rows = random_subcode(rng, pp).footprint
+            if len(rows) == 0:
+                rows = [RkPoly.one(pp).to_vector()]
+            calls = self._count_rref(monkeypatch)
+            code = CyclicCode.from_rows(pp, rows)
+            code.torsion_tower()
+            structure.canonical_form(code)
+            structure.rank(code)
+            structure.minimal_spanning_set(code)
+            structure.collapse_coprime(code)
+            code.level_generators()
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    def test_enumeration_runs_one_rref_per_code(self, monkeypatch):
+        calls = self._count_rref(monkeypatch)
+        codes = enumerate_coprime(P345)
+        for code in codes:
+            if code.dim:
+                structure.collapse_coprime(code)
+                structure.rank(code)
+        assert len(codes) == len(calls) == 25
 
 
 class TestEquality:

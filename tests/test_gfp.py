@@ -284,8 +284,9 @@ class TestDivisors:
                 assert poly_gcd(a, b) in dset
 
     def test_cap(self):
+        # 64 | 193 - 1, so x^64 - 1 splits into 64 linear factors: 2^64 divisors
         with pytest.raises(ValueError, match="too large"):
-            divisors_xn_minus_1(PrimeParams(2, 1, 32), cap=8)
+            divisors_xn_minus_1(PrimeParams(193, 1, 64))
 
 
 class TestMinWeight:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ucyclic.chainring import RkPoly
+from ucyclic.chainring import RkElem, RkPoly
 from ucyclic.code import CyclicCode, code_from_generators
 from ucyclic.gfp import FpPoly, PrimeParams, factor_xn_minus_1
 from ucyclic.linalg import InvariantError
@@ -253,7 +253,8 @@ class TestNakayamaMinimality:
             minimal = list(minimal_spanning_set(code).elements)
             shifts = [g.shift_x(j).mod_xn() for g in code.generators
                       for j in range(params.n)]
-            for elements in (minimal, minimal + [minimal[-1].times_u()], shifts):
+            u = RkElem((0, 1)[:params.k], params)  # u is 0 in R_1
+            for elements in (minimal, minimal + [minimal[-1].scale(u)], shifts):
                 assert _module_span(params, elements) == code
                 verdict = _irredundant(code, elements)
                 assert verdict == leave_one_out_irredundant(code, elements)
