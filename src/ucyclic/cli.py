@@ -18,12 +18,13 @@ import sys
 
 from .chainring import RkPoly
 from .code import CyclicCode, code_from_generators, load_code_file
-from .distance import closed_form_distance
-from .gfp import BudgetError, FpPoly, PrimeParams, factor_xn_minus_1
-from .linalg import InvariantError
+from .distance import closed_form_distance, repeated_root_distance
+from .gfp import (BudgetError, FpPoly, PrimeParams, factor_xn_minus_1,
+                  fp_cyclic_min_weight)
+from .linalg import DEFAULT_BUDGET, InvariantError
 from .properties import SUITES, run_suite
-from .structure import (canonical_form, collapse_coprime, enumerate_coprime,
-                        is_free, minimal_spanning_set, rank, verify_constraints)
+from .structure import (canonical_form, enumerate_coprime, is_free,
+                        minimal_spanning_set, rank, verify_constraints)
 
 __all__ = ["main", "entry", "parse_fp_poly", "format_fp_poly",
            "parse_rk_poly", "format_rk_poly", "parse_budget", "build_report"]
@@ -109,15 +110,17 @@ def _trials(text: str) -> int:
 # -- analysis report -------------------------------------------------------
 
 def _resolve_distance(code: CyclicCode, mode: str, budget: int) -> dict:
-    """One method per mode; `auto` falls back from the closed form, when it is
-    inapplicable, to the torsion search.  Brute force never answers where
-    torsion ran out of budget (it enumerates at least as many codewords), so
-    `auto` does not try it."""
+    """One method per mode.  `auto` tries only exact methods: the repeated-root
+    distance (length p^l, top torsion (x-1)^t), and, when that is
+    inapplicable, the torsion search.  The paper's closed form is refuted at
+    p=3, so it answers only when asked for by name.  Brute force never answers
+    where torsion ran out of budget (it enumerates at least as many
+    codewords), so `auto` does not try it."""
     if code.dim == 0:
         return {"value": None, "method": None, "note": "undefined (zero code)"}
     if mode == "auto":
         try:
-            return {"value": closed_form_distance(code), "method": "closed-form"}
+            return {"value": repeated_root_distance(code), "method": "repeated-root"}
         except ValueError:
             mode = "torsion"
     if mode == "closed-form":
@@ -130,7 +133,7 @@ def _resolve_distance(code: CyclicCode, mode: str, budget: int) -> dict:
 
 
 def build_report(code: CyclicCode, distance_mode: str = "auto",
-                 budget: int = 1 << 24) -> dict:
+                 budget: int = DEFAULT_BUDGET) -> dict:
     params = code.params
     tower = code.torsion_tower()
     cf = canonical_form(code)
@@ -233,17 +236,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_enumerate(args) -> int:
     params = PrimeParams(args.p, args.k, args.n)
-    codes = enumerate_coprime(params)
-    nonzero = [c for c in codes if c.dim > 0]
+    nonzero = [t for t in enumerate_coprime(params) if t.dim > 0]
     rows = []
-    distances = {}  # the distance depends only on the top torsion generator
-    for code in nonzero:
-        h = collapse_coprime(code)
-        top = code.torsion_tower().gens[-1]
+    distances = {}  # the distance is that of the top torsion code (`min_distance`)
+    for tower in nonzero:
+        top = tower.gens[-1]
         if top not in distances:
-            distances[top] = code.min_distance(budget=args.budget)
-        rows.append({"generator": format_rk_poly(h), "rank": rank(code),
-                     "log_cardinality": code.dim, "distance": distances[top]})
+            distances[top] = fp_cyclic_min_weight(top, params, budget=args.budget)
+        rows.append({"generator": format_rk_poly(tower.generator), "rank": tower.rank,
+                     "log_cardinality": tower.dim, "distance": distances[top]})
     if args.include_zero:
         rows.append({"generator": "0", "rank": 0, "log_cardinality": 0,
                      "distance": None, "zero_code": True})
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator as semicolon-separated u-layer polynomials; repeatable")
     a.add_argument("--distance-mode", default="auto",
                    choices=("auto", "closed-form", "torsion", "brute-force"))
-    a.add_argument("--budget", type=parse_budget, default=1 << 24)
+    a.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
     a.add_argument("--format", choices=("text", "json"), default="text")
     a.set_defaults(func=cmd_analyze)
 
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--include-zero", action="store_true")
-    e.add_argument("--budget", type=parse_budget, default=1 << 24)
+    e.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
     e.add_argument("--format", choices=("text", "json"), default="text")
     e.set_defaults(func=cmd_enumerate)
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=tuple(SUITES), default="all")
     v.add_argument("--trials", type=_trials, default=100)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--budget", type=parse_budget, default=1 << 24)
+    v.add_argument("--budget", type=parse_budget, default=DEFAULT_BUDGET)
     v.set_defaults(func=cmd_verify)
     return ap
 

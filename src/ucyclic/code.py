@@ -2,8 +2,8 @@
 
 A code is pinned down by its footprint: the reduced row echelon basis of the
 code viewed as an F_p-subspace of F_p^(kn), with coordinate i, layer j in
-column i*k + j.  The footprint is canonical, so it is the equality, hashing
-and sorting key; the stored generator list is presentation only, and a code
+column i*k + j.  The footprint is canonical, so it is the equality and
+hashing key; the stored generator list is presentation only, and a code
 built from rows (such as a dual) has none.  Every construction checks closure
 of the footprint under the cyclic shift (x-multiplication) and under
 u-multiplication.  The echelon form visits the columns layer-major, highest
@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .chainring import RkPoly
 from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight
-from .linalg import InvariantError
+from .linalg import DEFAULT_BUDGET, InvariantError
 
 __all__ = ["CyclicCode", "TorsionTower", "code_from_generators",
            "code_to_json", "code_from_json", "load_code_file"]
@@ -90,6 +90,16 @@ class TorsionTower:
     @property
     def dim(self) -> int:
         return sum(self.params.n - g.degree for g in self.gens)
+
+    @property
+    def rank(self) -> int:
+        """n - deg g_(k-1), the size of a minimal spanning set; 0 for the zero code."""
+        return self.params.n - self.gens[-1].degree
+
+    @property
+    def generator(self) -> RkPoly:
+        """sum u^i g_i mod x^n - 1, which generates the code when gcd(n, p) = 1."""
+        return RkPoly(self.gens, self.params).mod_xn()
 
 
 class CyclicCode:
@@ -217,7 +227,7 @@ class CyclicCode:
 
     # -- distance ----------------------------------------------------------
 
-    def min_distance_bruteforce(self, budget: int = 1 << 24) -> int:
+    def min_distance_bruteforce(self, budget: int = DEFAULT_BUDGET) -> int:
         """Minimum Hamming weight by exhausting all p^dim codewords.
 
         A coordinate is nonzero when any of its k layers is.
@@ -227,7 +237,7 @@ class CyclicCode:
         return linalg.min_nonzero_weight(self.footprint, self.params.p,
                                          group=self.params.k, budget=budget)
 
-    def min_distance(self, budget: int = 1 << 24) -> int:
+    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
         """Minimum Hamming weight via the top torsion code over F_p.
 
         The weight of the code equals the weight of Tor_(k-1): scaling any

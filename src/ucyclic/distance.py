@@ -1,10 +1,18 @@
-"""Closed-form minimum distance for repeated-root codes of length p^l.
+"""Minimum distance of repeated-root codes of length p^l, two ways.
 
 The distance of a code over R_k equals the distance of its top torsion code
-over F_p; when the length is p^l and that torsion code is generated by
-(x-1)^t, the distance depends only on the base-p digits of t: a run of q
-nonzero leading digits contributes prod(b+1) over the run, doubled when a
-nonzero digit survives below the run, and t <= p^(l-1) always gives 2.
+over F_p.  When the length is p^l, x^n - 1 = (x-1)^n, so that torsion code is
+generated by (x-1)^t, and its distance depends only on t:
+
+- `repeated_root_distance` is exact: the minimum of prod(tau_j + 1) over
+  t <= tau < p^l, tau_j the base-p digits of tau (Massey, Costello and
+  Justesen, IEEE-IT 1973).  `analyze --distance-mode auto` uses it.
+- `closed_form_distance` is the paper's law, read off the digits of t alone:
+  a run of q nonzero leading digits contributes prod(b+1) over the run,
+  doubled when a nonzero digit survives below the run, and t <= p^(l-1)
+  always gives 2.  The exhaustive search refutes it at some p=3 points, so it
+  answers only when asked for by name.  `product_law_check` tests the
+  paper's product law against the exhaustive search the same way.
 """
 
 from __future__ import annotations
@@ -13,10 +21,10 @@ from dataclasses import dataclass
 
 from .code import CyclicCode
 from .gfp import FpPoly
-from .linalg import InvariantError
+from .linalg import DEFAULT_BUDGET, InvariantError
 
 __all__ = ["PAdicExpansion", "classify_p_adic", "distance_power_length",
-           "product_law_check", "closed_form_distance"]
+           "product_law_check", "closed_form_distance", "repeated_root_distance"]
 
 ZERO_EXPANSION = "zero"
 NONZERO_EXPANSION = "nonzero"
@@ -84,7 +92,7 @@ def distance_power_length(p: int, l: int, t_k: int) -> int:
 
 
 def product_law_check(p: int, l: int, b: int, h: FpPoly,
-                        budget: int = 1 << 24) -> tuple[int, int, bool]:
+                        budget: int = DEFAULT_BUDGET) -> tuple[int, int, bool]:
     """Check the product law d((x^(p^(l-1)) - 1)^b * h) = (b+1) * d(h) by brute force.
 
     h must generate a nonzero proper cyclic code of length p^(l-1); the left
@@ -121,8 +129,9 @@ def _power_of_x_minus_1(g: FpPoly) -> int | None:
     return t if g == FpPoly.one(g.p) else None
 
 
-def closed_form_distance(code: CyclicCode) -> int:
-    """Closed-form minimum distance; needs n = p^l and top torsion (x-1)^t."""
+def _power_length_exponents(code: CyclicCode, method: str) -> tuple[int, int, int]:
+    """(p, l, t) with n = p^l and top torsion generator (x-1)^t, t >= 1; a
+    ValueError naming the method when the code is not of that kind."""
     if code.dim == 0:
         raise ValueError("zero code has no minimum distance")
     p, n = code.params.p, code.params.n
@@ -131,10 +140,31 @@ def closed_form_distance(code: CyclicCode) -> int:
         m //= p
         l += 1
     if m != 1 or l < 1:
-        raise ValueError("closed form inapplicable: length is not a power of p")
-    top = code.torsion_tower().gens[-1]
-    t = _power_of_x_minus_1(top)
+        raise ValueError(f"{method} inapplicable: length is not a power of p")
+    t = _power_of_x_minus_1(code.torsion_tower().gens[-1])
     if t is None or t == 0:
-        raise ValueError("closed form inapplicable: top torsion generator is not a "
+        raise ValueError(f"{method} inapplicable: top torsion generator is not a "
                          "positive power of x - 1")
-    return distance_power_length(p, l, t)
+    return p, l, t
+
+
+def closed_form_distance(code: CyclicCode) -> int:
+    """The paper's closed-form distance; needs n = p^l and top torsion (x-1)^t."""
+    return distance_power_length(*_power_length_exponents(code, "closed form"))
+
+
+def _digit_product(tau: int, p: int) -> int:
+    """prod(tau_j + 1) over the base-p digits tau_j of tau."""
+    out = 1
+    while tau:
+        tau, digit = divmod(tau, p)
+        out *= digit + 1
+    return out
+
+
+def repeated_root_distance(code: CyclicCode) -> int:
+    """Exact minimum distance for n = p^l and top torsion (x-1)^t, t >= 1:
+    min over t <= tau < p^l of prod(tau_j + 1) (Massey, Costello and
+    Justesen, IEEE-IT 1973)."""
+    p, l, t = _power_length_exponents(code, "repeated-root distance")
+    return min(_digit_product(tau, p) for tau in range(t, p ** l))

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .linalg import BudgetError, InvariantError
+from .linalg import DEFAULT_BUDGET, BudgetError, InvariantError
 
 __all__ = [
     "NEG_INF", "BudgetError", "is_prime", "PrimeParams", "FpPoly",
@@ -392,7 +392,8 @@ def divisors_xn_minus_1(params: PrimeParams) -> list[FpPoly]:
     return divs
 
 
-def fp_cyclic_min_weight(gen: FpPoly, params: PrimeParams, budget: int = 1 << 24) -> int:
+def fp_cyclic_min_weight(gen: FpPoly, params: PrimeParams,
+                         budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight of the cyclic code over F_p generated by gen.
 
     Exhaustive: enumerates all p^(n - deg gen) codewords m(x)*gen(x) mod x^n - 1.

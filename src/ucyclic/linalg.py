@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 BLOCK = 1 << 14  # most partial combinations min_nonzero_weight keeps in memory
+DEFAULT_BUDGET = 1 << 24  # codewords an exhaustive search may enumerate unless told otherwise
 
 
 class BudgetError(ValueError):
@@ -95,7 +96,7 @@ def nullspace(mat, p: int) -> np.ndarray:
     return basis
 
 
-def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = 1 << 24) -> int:
+def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum number of nonzero column groups over all nonzero F_p-combinations
     of the basis rows.
 

@@ -329,6 +329,9 @@ def check_product_law(rng, trials, budget) -> CheckResult:
             if h == block:
                 continue
             for b in range(1, p):
+                # the left side's code has p^(p^l - b p^(l-1) - deg h) codewords
+                if p ** (p ** l - b * half - h.degree) > budget:
+                    continue
                 lhs, rhs, equal = product_law_check(p, l, b, h, budget=budget)
                 res.record(equal, {"p": p, "l": l, "b": b,
                                    "h": list(h.coeffs), "lhs": lhs, "rhs": rhs})

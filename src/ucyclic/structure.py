@@ -5,7 +5,8 @@ the codeword of u-valuation i whose layer i is the torsion generator g_i and
 whose higher layers j lie below deg g_j (`CyclicCode.level_generators`).  It
 is built once per code and checked by one certificate per lifted generator,
 from which the other structure results follow by theorem (`canonical_form`).
-Coprime enumeration builds each code from its divisor chain's F_p-basis.
+Rank and the coprime single generator are read off the torsion tower, so
+coprime enumeration lists divisor chains and builds no code.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
 
 from . import linalg
 from .chainring import RkPoly
@@ -35,7 +34,7 @@ SHAPE_PRINCIPAL = "Principal"
 SHAPE_PRINCIPAL_DIVIDING = "PrincipalDividing"
 SHAPE_TWO_GENERATOR = "TwoGenerator"
 SHAPE_FULL_TOWER = "FullTower"
-CHAIN_CAP = 1 << 20  # most divisor chains enumerate_coprime will build
+CHAIN_CAP = 1 << 20  # most divisor chains enumerate_coprime will list
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def collapse_coprime(code: CyclicCode) -> RkPoly:
     """
     if not code.params.coprime:
         raise ValueError("collapse requires n coprime to p")
-    return RkPoly(code.torsion_tower().gens, code.params).mod_xn()
+    return code.torsion_tower().generator
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,7 @@ def verify_constraints(code: CyclicCode) -> ConstraintReport:
 
 def rank(code: CyclicCode) -> int:
     """n minus the degree of the top torsion generator; 0 for the zero code."""
-    if code.dim == 0:
-        return 0
-    return code.params.n - code.torsion_tower().gens[-1].degree
+    return code.torsion_tower().rank
 
 
 def minimal_spanning_set(code: CyclicCode) -> SpanningSet:
@@ -240,18 +237,16 @@ def cardinality_formula_check(code: CyclicCode) -> tuple[int, int, bool]:
     return code.dim, rhs, code.dim == rhs
 
 
-def enumerate_coprime(params: PrimeParams) -> list[CyclicCode]:
-    """Every cyclic code of length n over R_k when gcd(n, p) = 1.
+def enumerate_coprime(params: PrimeParams) -> list[TorsionTower]:
+    """The torsion towers of every cyclic code of length n when gcd(n, p) = 1.
 
     One divisor chain g_(k-1) | ... | g_0 | x^n - 1 per threshold vector over
     the squarefree factorization of x^n - 1: each irreducible factor divides
-    g_i exactly for the levels i below its threshold t in [0, k].  The code
-    <u^i g_i : i < k> is built, with the closure checks of `from_rows`, from
-    its F_p-basis {u^i x^j g_i : j < n - deg g_i}: each element lies in layer
-    i with degree below n, so its row is g_i shifted by j coordinates.
-    Theorem (Dinh and Lopez-Permouth, IEEE-IT 2004): the code's torsion tower
-    is its chain, so the (k + 1)^r threshold vectors give distinct codes,
-    sorted by (dim, footprint bytes) with the zero code last.
+    g_i exactly for the levels i below its threshold t in [0, k].
+    Theorem (Dinh and Lopez-Permouth, IEEE-IT 2004): each code is <sum u^i g_i>
+    for exactly one chain, its torsion tower, so every code is listed once and
+    its fields are read off the chain (`TorsionTower`).  Sorted by (dim,
+    coefficients of g_0 .. g_(k-1)), the zero code (all g_i = x^n - 1) last.
     """
     if not params.coprime:
         raise ValueError("enumeration implemented for coprime case only")
@@ -259,16 +254,9 @@ def enumerate_coprime(params: PrimeParams) -> list[CyclicCode]:
     count = (params.k + 1) ** len(facs)
     if count > CHAIN_CAP:
         raise ValueError(f"divisor-chain count too large: {count} chains exceed cap {CHAIN_CAP}")
-    k, n = params.k, params.n
-    codes = []
-    for thresholds in itertools.product(range(k + 1), repeat=len(facs)):
-        chain = [prod((q for q, t in zip(facs, thresholds) if t > i),
-                      start=FpPoly.one(params.p)) for i in range(k)]
-        rows = np.zeros((sum(n - g.degree for g in chain), n, k), dtype=np.int64)
-        r = 0
-        for i, g in enumerate(chain):
-            for j in range(n - g.degree):
-                rows[r, j:j + len(g.coeffs), i] = g.coeffs
-                r += 1
-        codes.append(CyclicCode.from_rows(params, rows.reshape(-1, k * n)))
-    return sorted(codes, key=lambda c: (c.dim == 0, c.dim, c.footprint_bytes()))
+    towers = []
+    for thresholds in itertools.product(range(params.k + 1), repeat=len(facs)):
+        chain = tuple(prod((q for q, t in zip(facs, thresholds) if t > i),
+                           start=FpPoly.one(params.p)) for i in range(params.k))
+        towers.append(TorsionTower(params, chain))
+    return sorted(towers, key=lambda t: (t.dim == 0, t.dim, tuple(g.coeffs for g in t.gens)))

@@ -81,7 +81,7 @@ def test_criterion_1_factorization(capsys):
 def test_criterion_2_catalog_reproduction(capsys):
     rc = main(["enumerate", "--p", "3", "--k", "4", "--n", "5"])
     out = capsys.readouterr().out
-    enumerated = enumerate_coprime(P345)
+    enumerated = [chain_code(P345, t.gens) for t in enumerate_coprime(P345)]
     nonzero = {c.footprint_bytes(): c for c in enumerated if c.dim > 0}
     published = published_families()
     assert len(published) == 22
@@ -101,7 +101,8 @@ def test_criterion_2_catalog_reproduction(capsys):
 def test_criterion_3_coprime_collapse(capsys):
     checked = 0
     bad = 0
-    for code in enumerate_coprime(P345):
+    for tower in enumerate_coprime(P345):
+        code = chain_code(P345, tower.gens)
         h = collapse_coprime(code)
         if code_from_generators(P345, [h]) != code:
             bad += 1
@@ -145,8 +146,8 @@ def test_criterion_4_rank_and_cardinality(capsys):
         if not good:
             bad += 1
 
-    for code in enumerate_coprime(P345):
-        examine(code)
+    for tower in enumerate_coprime(P345):
+        examine(chain_code(P345, tower.gens))
     rng = random.Random(414)
     for _ in range(150):
         params = random_params(rng, nmax=8)

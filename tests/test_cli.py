@@ -15,7 +15,8 @@ from ucyclic.cli import (build_report, format_fp_poly, format_rk_poly, main,
 from ucyclic.code import (CyclicCode, code_from_generators, code_from_json_dict,
                           code_to_json)
 from ucyclic.gfp import FpPoly, PrimeParams
-from ucyclic.linalg import InvariantError
+from ucyclic.linalg import DEFAULT_BUDGET, InvariantError
+from ucyclic.properties import chain_code
 
 
 def run_cli(args, capsys):
@@ -205,13 +206,31 @@ class TestAnalyzeCommand:
         assert "budget" in err
 
     def test_auto_over_budget_names_torsion_requirement(self, tmp_path, capsys):
-        # n = 5 is not a power of 3, so auto skips the closed form; the top
+        # n = 5 is not a power of 3, so auto skips the repeated-root distance; the top
         # torsion code is all of F_3^5, 3^5 codewords (brute force would need 3^19)
         path = write_code_file(tmp_path, g1_u_code())
         rc, out, err = run_cli(["analyze", "--code-file", path, "--budget", "4"], capsys)
         assert rc == 3
         assert out == ""
         assert "243 codewords required, budget is 4" in err
+
+    def test_auto_takes_exact_repeated_root_distance(self, capsys):
+        # top torsion (x-1)^4 at n = 9: the paper's law says 4, the code has
+        # a weight-3 word, and auto answers with the exact method
+        base = ["analyze", "--p", "3", "--k", "2", "--n", "9",
+                "--gen", "x^4+2x^3+2x+1; 0"]
+        rc, out, _ = run_cli(base, capsys)
+        assert rc == 0 and "distance: 3 (repeated-root)" in out
+        rc, out, _ = run_cli(base + ["--distance-mode", "closed-form"], capsys)
+        assert rc == 0 and "distance: 4 (closed-form)" in out
+        rc, out, _ = run_cli(base + ["--distance-mode", "brute-force"], capsys)
+        assert rc == 0 and "distance: 3 (brute-force)" in out
+
+    def test_budget_defaults_are_one_constant(self):
+        parser = cli.build_parser()
+        for command in (["analyze"], ["enumerate", "--p", "2", "--k", "1", "--n", "1"],
+                        ["verify"]):
+            assert parser.parse_args(command).budget == DEFAULT_BUDGET
 
     @pytest.mark.parametrize("field, value", [
         ("generators", 5), ("p", "2"), ("p", 2.0), ("k", 1.0)])
@@ -325,20 +344,34 @@ class TestEnumerateCommand:
 
     def test_one_distance_per_top_generator(self, capsys, monkeypatch):
         # x^7 - 1 has 3 factors over F_2: 26 nonzero codes, 7 distinct tops
-        codes = [c for c in structure.enumerate_coprime(PrimeParams(2, 2, 7)) if c.dim]
+        params = PrimeParams(2, 2, 7)
+        codes = [chain_code(params, t.gens)
+                 for t in structure.enumerate_coprime(params) if t.dim]
         tops = []
-        real = CyclicCode.min_distance
+        real = cli.fp_cyclic_min_weight
 
-        def counting(code, budget):
-            tops.append(code.torsion_tower().gens[-1])
-            return real(code, budget)
-        monkeypatch.setattr(CyclicCode, "min_distance", counting)
+        def counting(gen, params, budget):
+            tops.append(gen)
+            return real(gen, params, budget=budget)
+        monkeypatch.setattr(cli, "fp_cyclic_min_weight", counting)
         rc, out, _ = run_cli(["enumerate", "--p", "2", "--k", "2", "--n", "7",
                               "--format", "json"], capsys)
         assert rc == 0
         assert len(tops) == len(set(tops)) == 7
         assert ([row["distance"] for row in json.loads(out)["codes"]]
                 == [c.min_distance_bruteforce() for c in codes])
+
+    def test_rows_in_chain_order_zero_last(self, capsys):
+        # one row per chain, in enumerate_coprime's key order, the zero code last
+        params = PrimeParams(3, 2, 4)
+        towers = structure.enumerate_coprime(params)
+        rc, out, _ = run_cli(["enumerate", "--p", "3", "--k", "2", "--n", "4",
+                              "--include-zero", "--format", "json"], capsys)
+        rows = json.loads(out)["codes"]
+        assert rc == 0 and len(rows) == len(towers) == 27
+        assert [(r["generator"], r["rank"], r["log_cardinality"]) for r in rows[:-1]] == [
+            (format_rk_poly(t.generator), t.rank, t.dim) for t in towers[:-1]]
+        assert rows[-1]["zero_code"] and towers[-1].dim == 0
 
     def test_budget_exceeded_exit_3(self, capsys):
         rc, _, err = run_cli(["enumerate", "--p", "2", "--k", "2", "--n", "7",
@@ -365,6 +398,16 @@ class TestVerifyCommand:
             main(["verify", "--suite", "dual", "--trials", "-3"])
         assert exc.value.code == 2
         assert "trials must be non-negative" in capsys.readouterr().err
+
+    def test_distance_suite_below_3_to_the_6(self, capsys):
+        # points whose codes exceed the budget are skipped, not fatal: every
+        # distance check still reports (the closed-form sweep fails by design)
+        rc, out, _ = run_cli(["verify", "--suite", "distance",
+                              "--trials", "2", "--budget", "2^8"], capsys)
+        assert rc == 1
+        for name in ("distance-closed-form-sweep", "distance-monotone-in-t",
+                     "torsion-vs-bruteforce-distance", "distance-product-law"):
+            assert f"{name}: " in out
 
     def test_distance_suite_reports_formula_defect(self, capsys):
         # the closed-form sweep honestly disagrees with the oracle at the

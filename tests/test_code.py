@@ -15,7 +15,7 @@ from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
 from ucyclic.linalg import InvariantError
-from ucyclic.properties import random_code, random_params
+from ucyclic.properties import chain_code, random_code, random_params
 from ucyclic.structure import enumerate_coprime
 
 from test_structure import edge_code
@@ -281,14 +281,22 @@ class TestSingleEchelon:
             assert len(calls) == 1
             monkeypatch.undo()
 
-    def test_enumeration_runs_one_rref_per_code(self, monkeypatch):
+    def test_enumeration_builds_no_code(self, monkeypatch):
+        # every field enumerate prints is read off the chain: no RREF, no code
         calls = self._count_rref(monkeypatch)
-        codes = enumerate_coprime(P345)
-        for code in codes:
-            if code.dim:
-                structure.collapse_coprime(code)
-                structure.rank(code)
-        assert len(codes) == len(calls) == 25
+        built = []
+        real_from_rows = CyclicCode.from_rows.__func__
+
+        def counting_from_rows(cls, params, rows, generators=()):
+            built.append(params)
+            return real_from_rows(cls, params, rows, generators)
+        monkeypatch.setattr(CyclicCode, "from_rows", classmethod(counting_from_rows))
+        towers = enumerate_coprime(P345)
+        assert len(towers) == 25
+        assert calls == [] and built == []
+        fields = [(t.generator, t.rank, t.dim) for t in towers]
+        assert len(set(fields)) == 25
+        assert calls == [] and built == []
 
 
 class TestEquality:
@@ -385,7 +393,9 @@ class TestDual:
     @pytest.mark.parametrize("p,k,n", [(2, 2, 7), (5, 2, 4), (3, 2, 8)])
     def test_self_dual_by_theorem_matches_dual_enumerated(self, p, k, n):
         self_dual = 0
-        for code in enumerate_coprime(PrimeParams(p, k, n)):
+        params = PrimeParams(p, k, n)
+        for tower in enumerate_coprime(params):
+            code = chain_code(params, tower.gens)
             assert code.is_self_dual() == (code.dual() == code)
             self_dual += code.is_self_dual()
         assert self_dual == 3

@@ -4,7 +4,8 @@ from ucyclic.chainring import RkPoly
 from ucyclic.code import code_from_generators
 from ucyclic.distance import (FULL_EXPANSION, NONZERO_EXPANSION, ZERO_EXPANSION,
                               classify_p_adic, distance_power_length,
-                              closed_form_distance, product_law_check)
+                              closed_form_distance, product_law_check,
+                              repeated_root_distance)
 from ucyclic.gfp import FpPoly, PrimeParams, fp_cyclic_min_weight
 
 
@@ -171,3 +172,46 @@ class TestOracleSweeps:
             gen = FpPoly([-1, 1], p)
             for t in range(1, p ** (l - 1) + 1):
                 assert fp_cyclic_min_weight(gen ** t, params) == 2
+
+
+class TestRepeatedRootDistance:
+    def test_matches_exhaustive_search(self):
+        # every length p^l <= 64, every top torsion (x-1)^t within 2^16 codewords
+        budget = 1 << 16
+        checked = 0
+        for p in (2, 3, 5, 7):
+            n = p
+            while n <= 64:
+                pp = PrimeParams(p, 2, n)
+                for t in range(1, n):
+                    if p ** (n - t) > budget:
+                        continue
+                    top = FpPoly([-1, 1], p) ** t
+                    code = code_from_generators(pp, [RkPoly.from_fp(top, pp, level=1)])
+                    assert repeated_root_distance(code) == fp_cyclic_min_weight(
+                        top, PrimeParams(p, 1, n), budget=budget), (p, n, t)
+                    checked += 1
+                n *= p
+        assert checked == 98
+
+    def test_where_the_paper_law_fails(self):
+        pp = PrimeParams(3, 2, 9)
+        code = code_from_generators(
+            pp, [RkPoly.from_fp(FpPoly([2, 1], 3) ** 4, pp, level=1)])
+        assert repeated_root_distance(code) == 3 == code.min_distance_bruteforce()
+
+    def test_inapplicable_like_the_closed_form(self):
+        cases = [(PrimeParams(3, 2, 5), FpPoly([2, 1], 3)),
+                 (PrimeParams(2, 1, 6), FpPoly([1, 1, 1], 2)),
+                 (PrimeParams(2, 1, 4), FpPoly.one(2))]
+        for pp, g in cases:
+            code = code_from_generators(pp, [RkPoly.from_fp(g, pp)])
+            with pytest.raises(ValueError, match="repeated-root distance inapplicable"):
+                repeated_root_distance(code)
+            with pytest.raises(ValueError, match="closed form inapplicable"):
+                closed_form_distance(code)
+
+    def test_zero_code(self):
+        pp = PrimeParams(3, 2, 9)
+        with pytest.raises(ValueError, match="zero code"):
+            repeated_root_distance(code_from_generators(pp, []))

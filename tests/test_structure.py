@@ -334,49 +334,62 @@ class TestCardinalityFormula:
 
 class TestEnumerate:
     def test_p3_k4_n5_counts(self):
-        codes = enumerate_coprime(P345)
-        nonzero = [c for c in codes if c.dim > 0]
+        towers = enumerate_coprime(P345)
+        nonzero = [t for t in towers if t.dim > 0]
         assert len(nonzero) == 24
-        assert len(codes) == 25
-        assert codes[-1].is_zero
-        assert len({c.footprint_bytes() for c in codes}) == 25
+        assert len(towers) == 25
+        assert towers[-1].dim == 0
+        assert len(set(towers)) == 25
 
     def test_r2_length_1(self):
         pp = PrimeParams(2, 2, 1)
-        codes = enumerate_coprime(pp)
-        nonzero = [c for c in codes if c.dim > 0]
+        towers = enumerate_coprime(pp)
+        nonzero = [t for t in towers if t.dim > 0]
         assert len(nonzero) == 2  # <1> and <u>: the nonzero ideals of R_2
-        assert {c.dim for c in nonzero} == {1, 2}
+        assert {t.dim for t in nonzero} == {1, 2}
 
     def test_classical_binary_length_3(self):
         pp = PrimeParams(2, 1, 3)
-        codes = enumerate_coprime(pp)
-        assert len(codes) == 4  # the binary cyclic codes of length 3
-        assert sorted(c.dim for c in codes) == [0, 1, 2, 3]
+        towers = enumerate_coprime(pp)
+        assert len(towers) == 4  # the binary cyclic codes of length 3
+        assert sorted(t.dim for t in towers) == [0, 1, 2, 3]
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="coprime"):
             enumerate_coprime(PrimeParams(3, 2, 3))
 
     def test_deterministic_order(self):
-        a = [c.footprint_bytes() for c in enumerate_coprime(P345)]
-        b = [c.footprint_bytes() for c in enumerate_coprime(P345)]
+        a = enumerate_coprime(P345)
+        b = enumerate_coprime(P345)
         assert a == b
-        nz = a[:-1]
-        dims = [c.dim for c in enumerate_coprime(P345)][:-1]
+        dims = [t.dim for t in a][:-1]
         assert dims == sorted(dims)
+
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 7), (3, 4, 5), (5, 2, 4)])
+    def test_key_order_zero_code_last(self, p, k, n):
+        # (dim, coefficient tuples of g_0 .. g_(k-1)), read off the chain
+        params = PrimeParams(p, k, n)
+        towers = enumerate_coprime(params)
+        keys = [(t.dim, tuple(g.coeffs for g in t.gens)) for t in towers[:-1]]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        xn1 = FpPoly.xn_minus_1(n, p)
+        assert towers[-1].gens == (xn1,) * k
+        assert all(t.dim > 0 for t in towers[:-1])
 
     @pytest.mark.parametrize("p,k,n", [(2, 2, 7), (3, 4, 5), (2, 4, 3),
                                        (5, 2, 4), (2, 3, 7), (3, 2, 8)])
     def test_codes_are_their_chain_codes(self, p, k, n):
-        # each code is <u^i g_i> for its own tower, rebuilt from generators,
-        # and the (k + 1)^r threshold vectors give (k + 1)^r distinct codes
+        # each chain is the tower of the code <u^i g_i> it generates, which
+        # the single generator sum(u^i g_i) also generates, and the (k + 1)^r
+        # threshold vectors give (k + 1)^r distinct towers
         params = PrimeParams(p, k, n)
-        codes = enumerate_coprime(params)
-        for code in codes:
-            assert code == chain_code(params, code.torsion_tower().gens)
-        assert len(codes) == (k + 1) ** len(factor_xn_minus_1(params))
-        assert len({c.footprint_bytes() for c in codes}) == len(codes)
+        towers = enumerate_coprime(params)
+        for t in towers:
+            code = chain_code(params, t.gens)
+            assert code.torsion_tower() == t
+            assert code_from_generators(params, [t.generator]) == code
+        assert len(towers) == (k + 1) ** len(factor_xn_minus_1(params))
+        assert len(set(towers)) == len(towers)
 
     def test_multi_vs_collapsed_same_footprint(self):
         rng = random.Random(61)
