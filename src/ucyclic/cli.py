@@ -1,8 +1,8 @@
 """Command-line workbench: factor, analyze, enumerate, verify.
 
 Polynomial string grammar for human input: terms `c`, `x`, `x^e`, `c x^e`
-joined by `+`/`-`, coefficients reduced mod p; a polynomial over R_k is k
-semicolon-separated F_p polynomial strings in u-layer order, e.g.
+or `c*x^e` joined by `+`/`-`, coefficients reduced mod p; a polynomial over
+R_k is k semicolon-separated F_p polynomial strings in u-layer order, e.g.
 `x^2+1; 1` for x^2+1+u.  JSON code files remain the canonical format.
 
 Exit codes: 0 success, 1 property failure, 2 usage or validation error,
@@ -32,7 +32,7 @@ __all__ = ["main", "entry", "parse_fp_poly", "format_fp_poly",
 
 # -- polynomial string grammar -------------------------------------------
 
-_TERM = re.compile(r"([+-]?)(\d+)?\*?(x(?:\^(\d+))?)?\Z")
+_TERM = re.compile(r"([+-]?)(?:(\d+)(?:\*(?=x))?)?(x(?:\^(\d+))?)?\Z")
 
 
 def parse_fp_poly(text: str, p: int, n: int) -> FpPoly:
@@ -216,6 +216,8 @@ def cmd_factor(args) -> int:
 
 def _load_analyze_code(args) -> CyclicCode:
     if args.code_file:
+        if any(v is not None for v in (args.p, args.k, args.n, args.gen)):
+            raise ValueError("--code-file cannot be combined with --p/--k/--n/--gen")
         return load_code_file(args.code_file)
     if args.gen and None not in (args.p, args.k, args.n):
         params = PrimeParams(args.p, args.k, args.n)

@@ -6,14 +6,14 @@ column i*k + j.  The footprint is canonical, so it is the equality and
 hashing key; the stored generator list is presentation only, and a code
 built from rows (such as a dual) has none.  Every construction checks closure
 of the footprint under the cyclic shift (x-multiplication) and under
-u-multiplication.  The echelon form visits the columns layer-major, highest
-degree first (`_echelon`), so the torsion tower and the canonical lifted
-generators are read off its rows with no further elimination
-(`CyclicCode.level_generators`).  The dual is one F_p-nullspace: v is
-orthogonal to a u-closed code iff the top u-layer of every inner product v . c
-vanishes, and that layer is the F_p dot product of v with c's u-layers
-reversed inside each coordinate block (`_layer_reversal`).  The dual's size
-and self-duality follow from the footprint without building it (Frobenius).
+u-multiplication.  Every F_p elimination runs through `_echelon`, which visits the
+columns layer-major, highest degree first, so the torsion tower and the
+canonical lifted generators are read off the footprint's rows with no
+further elimination (`CyclicCode.level_generators`).  The dual is the
+F_p-nullspace read off the footprint: v is orthogonal to a u-closed code iff
+the top u-layer of every inner product v . c vanishes, and that layer is the
+F_p dot product of v with c's u-layers reversed inside each coordinate block
+(`_layer_reversal`).  Its size and self-duality need no dual (Frobenius).
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def _echelon(params: PrimeParams, rows) -> tuple[np.ndarray, list[int]]:
     natural column indices.  The RREF for a fixed column order is unique."""
     k, n = params.k, params.n
     order = [i * k + j for j in range(k) for i in reversed(range(n))]
-    E, piv = linalg.rref(linalg.as_matrix(rows, k * n, params.p)[:, order], params.p)
-    R = np.empty_like(E)
-    R[:, order] = E
-    return R, [order[c] for c in piv]
+    M = np.asarray(rows, dtype=np.int64).reshape(len(rows), k * n)[:, order]  # one copy
+    E, piv = linalg.rref(M, params.p)
+    return E[:, np.argsort(order)], [order[c] for c in piv]
 
 
 def _u_multiples(rows: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -209,10 +208,10 @@ class CyclicCode:
         vanishes for every codeword c: if v . c has lowest nonzero layer l,
         then v . (u^(k-1-l) c) is nonzero in layer k-1.  That layer is the F_p
         dot product of v with c's layers reversed inside each coordinate
-        block, so the dual is the F_p-nullspace of the footprint with its
-        columns permuted by that (involutive) reversal.
+        block, so the dual is the F_p-nullspace of the footprint, read off
+        its echelon form, with the columns permuted by that (involutive) reversal.
         """
-        rows = linalg.nullspace(self.footprint, self.params.p)
+        rows = linalg.nullspace(self.footprint, self.pivots, self.params.p)
         rows = rows[:, _layer_reversal(self.params.n, self.params.k)]
         return CyclicCode.from_rows(self.params, rows)
 
@@ -275,12 +274,13 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
     rows = _u_multiples(linalg.as_matrix([g.to_vector() for g in reduced], k * n, params.p), n, k)
     # doubling: if the rows span the x^i-multiples for i < m, then they and
     # their rotations by m coordinate blocks span those for i < 2m; reducing
-    # whenever there are more rows than columns keeps the stack small
+    # (`_echelon`) whenever there are more rows than columns keeps the stack
+    # small and hands from_rows rows already in the footprint's echelon order
     m = 1
     while m < n:
         rows, m = np.concatenate([rows, np.roll(rows, k * m, axis=-1)]), 2 * m
         if len(rows) > k * n:
-            rows, _ = linalg.rref(rows, params.p)
+            rows, _ = _echelon(params, rows)
     return CyclicCode.from_rows(params, rows, generators=reduced)
 
 

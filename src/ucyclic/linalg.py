@@ -38,9 +38,8 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivots): zero rows dropped, pivot entries scaled to 1, pivot
     columns cleared above and below.  R is the canonical form of the row space.
     """
-    M = np.array(mat, dtype=np.int64) % p
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
+    M = np.array(mat, dtype=np.int64)
+    M %= p
     nrows, ncols = M.shape
     r = 0
     pivots: list[int] = []
@@ -78,19 +77,17 @@ def reduce_vector(R: np.ndarray, pivots, v, p: int) -> np.ndarray:
     return res
 
 
-def nullspace(mat, p: int) -> np.ndarray:
-    """Basis, as rows, of {x : mat @ x = 0} over F_p, one row per free column
-    of the RREF, ascending.
+def nullspace(R: np.ndarray, pivots, p: int) -> np.ndarray:
+    """Basis, as rows, of {x : R @ x = 0} over F_p, one row per free column,
+    ascending, for R a reduced echelon form with row r pivoting at pivots[r].
 
-    A matrix with no rows constrains nothing, so the basis is the identity.
+    No elimination runs: the pivot columns are unit vectors, whatever order
+    the columns were visited in.  With no rows the basis is the identity.
     """
-    M = np.array(mat, dtype=np.int64) % p
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    R, pivots = rref(M, p)
-    free = np.ones(M.shape[1], dtype=bool)
+    ncols = R.shape[1]
+    free = np.ones(ncols, dtype=bool)
     free[pivots] = False
-    basis = np.zeros((int(free.sum()), M.shape[1]), dtype=np.int64)
+    basis = np.zeros((ncols - len(pivots), ncols), dtype=np.int64)
     basis[:, free] = np.eye(len(basis), dtype=np.int64)
     basis[:, pivots] = -R[:, free].T % p
     return basis
@@ -107,8 +104,6 @@ def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = DEFAULT_BUDG
     over the coefficient vectors, so the scan is deterministic.
     """
     B = np.array(basis, dtype=np.int64) % p
-    if B.ndim == 1:
-        B = B.reshape(1, -1)
     d, ncols = B.shape
     if d == 0:
         raise ValueError("empty basis has no nonzero combinations")

@@ -238,7 +238,7 @@ def _irredundant(code: CyclicCode, elements) -> bool:
     irredundant iff its size is dim C/uC = dim C - dim uC.
     """
     k, n = code.params.k, code.params.n
-    _, piv = linalg.rref(_shift_u(code.footprint, n, k), code.params.p)
+    _, piv = _echelon(code.params, _shift_u(code.footprint, n, k))
     return len(elements) == code.dim - len(piv)
 
 

@@ -44,7 +44,7 @@ class TestGrammar:
     def test_parse_reduces_mod_p(self):
         assert parse_fp_poly("4x+5", 3, 8) == FpPoly([2, 1], 3)
 
-    @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x"])
+    @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x", "2*", "*x"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_fp_poly(bad, 3, 8)
@@ -160,6 +160,16 @@ class TestAnalyzeCommand:
         assert rep["log_cardinality"] == 19
         assert rep["distance"] == {"value": 1, "method": "torsion"}
         assert rep["dual"]["log_cardinality"] == 20 - 19
+
+    @pytest.mark.parametrize("extra", [["--p", "3"], ["--gen", "1"],
+                                       ["--p", "3", "--k", "4", "--n", "5", "--gen", "x+2"]])
+    def test_code_file_with_parameters_is_usage_error(self, tmp_path, capsys, extra):
+        # the file fixes the code, so a second description of it is a conflict
+        path = write_code_file(tmp_path, g1_u_code())
+        rc, out, err = run_cli(["analyze", "--code-file", path] + extra, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "--code-file" in err
 
     def test_report_code_roundtrips(self, tmp_path, capsys):
         path = write_code_file(tmp_path, g1_u_code())

@@ -11,6 +11,7 @@ import pytest
 import ucyclic
 from ucyclic import linalg, structure
 from ucyclic.chainring import RkElem, RkPoly
+from ucyclic.cli import main
 from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
@@ -65,7 +66,7 @@ def equation_dual(code):
             for a in range(l + 1):
                 eq[:, a] = f[:, l - a]
             eqs[ridx * k + l] = eq.reshape(-1)
-    return CyclicCode.from_rows(code.params, linalg.nullspace(eqs, p))
+    return CyclicCode.from_rows(code.params, linalg.nullspace(*linalg.rref(eqs, p), p))
 
 
 def random_subcode(rng, pp):
@@ -263,6 +264,29 @@ class TestSingleEchelon:
         monkeypatch.setattr(linalg, "rref", counting)
         return calls
 
+    @staticmethod
+    def _count_echelon(monkeypatch):
+        calls = []
+        real = ucyclic.code._echelon
+
+        def counting(params, rows):
+            calls.append(len(rows))
+            return real(params, rows)
+        monkeypatch.setattr(ucyclic.code, "_echelon", counting)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda: edge_code(64, seed=5),
+        lambda: main(["analyze", "--p", "3", "--k", "2", "--n", "5", "--gen", "x+2; 1"])],
+        ids=["edge-code-64", "analyze"])
+    def test_every_rref_is_an_echelon_form(self, monkeypatch, capsys, run):
+        # code_from_generators reduces its doubling stack in the footprint's
+        # column order too
+        rrefs, echelons = self._count_rref(monkeypatch), self._count_echelon(monkeypatch)
+        run()
+        assert len(echelons) > 1
+        assert len(rrefs) == len(echelons)
+
     def test_one_rref_per_code_through_every_structure_read(self, monkeypatch):
         rng = random.Random(43)
         for pp in [PrimeParams(2, 3, 7), P345, PrimeParams(5, 2, 4), PrimeParams(7, 3, 8),
@@ -399,6 +423,33 @@ class TestDual:
             assert code.is_self_dual() == (code.dual() == code)
             self_dual += code.is_self_dual()
         assert self_dual == 3
+
+    def test_dual_runs_one_elimination(self, monkeypatch):
+        # the nullspace is read off the footprint; only the dual's own
+        # footprint is eliminated
+        rng = random.Random(53)
+        codes = [random_subcode(rng, PrimeParams(rng.choice([2, 3, 5]), rng.randint(1, 4),
+                                                 rng.randint(1, 8))) for _ in range(10)]
+        for code in codes + [edge_code(64, seed=5)]:
+            calls = TestSingleEchelon._count_rref(monkeypatch)
+            code.dual()
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    def test_nullspace_of_layer_ordered_footprint(self):
+        # the footprint's pivots are not ascending, but its pivot columns are
+        # unit vectors, which is all the nullspace reads
+        rng = random.Random(59)
+        codes = [random_subcode(rng, PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(1, 6),
+                                                 rng.randint(1, 16))) for _ in range(40)]
+        codes.append(edge_code(64, seed=5))
+        for code in codes:
+            p, kn = code.params.p, code.params.k * code.params.n
+            N = linalg.nullspace(code.footprint, code.pivots, p)
+            assert N.shape == (kn - code.dim, kn)
+            assert not (code.footprint @ N.T % p).any()
+            assert len(linalg.rref(N, p)[1]) == len(N)
+        assert any(code.pivots != sorted(code.pivots) for code in codes)
 
     def test_row_built_code_has_no_generators(self):
         dual = code_from_generators(P345, [gen(G1, P345)]).dual()

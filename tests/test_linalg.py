@@ -17,7 +17,7 @@ def random_matrix(rng, p, nrows, ncols, rank=None):
 
 
 def check_nullspace(M, p):
-    N = nullspace(M, p)
+    N = nullspace(*rref(M, p), p)
     ncols = np.shape(M)[1]
     assert N.shape[1] == ncols
     assert not (np.asarray(M, dtype=np.int64) @ N.T % p).any()
@@ -55,5 +55,5 @@ class TestNullspace:
 
     def test_one_row_per_free_column(self):
         # x + 2y + 3z = 0 over F_5: free columns y, z give (-2, 1, 0), (-3, 0, 1)
-        N = nullspace([[1, 2, 3]], 5)
+        N = nullspace(*rref([[1, 2, 3]], 5), 5)
         assert N.tolist() == [[3, 1, 0], [2, 0, 1]]
