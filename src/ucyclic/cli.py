@@ -36,7 +36,11 @@ _TERM = re.compile(r"([+-]?)(?:(\d+)(?:\*(?=x))?)?(x(?:\^(\d+))?)?\Z")
 
 
 def parse_fp_poly(text: str, p: int, n: int) -> FpPoly:
-    s = text.replace(" ", "").replace("**", "^")
+    s = re.sub(r"\* *\*", "^", text)
+    # spaces are dropped below, so one inside a number would merge its digits
+    if re.search(r"[\d^] +\d", s):
+        raise ValueError(f"space inside a number or after ^ in {text!r}")
+    s = s.replace(" ", "")
     if s in ("", "0"):
         return FpPoly.zero(p)
     coeffs: dict[int, int] = {}

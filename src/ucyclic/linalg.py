@@ -98,10 +98,15 @@ def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = DEFAULT_BUDG
     of the basis rows.
 
     Groups are consecutive runs of `group` columns; a group counts as nonzero
-    when any of its entries is.  Enumeration is exhaustive over all p^rank
-    combinations, blocked so that a table of at most BLOCK partial
-    combinations is kept in memory; combinations are visited in odometer order
-    over the coefficient vectors, so the scan is deterministic.
+    when any of its entries is.  The search is exhaustive, but a nonzero
+    scalar multiple of a word has the same group support, so only the
+    combinations whose leading nonzero coefficient is 1 are visited, about
+    p^rank / (p - 1) of them; the budget still counts all p^rank.  The last
+    rows are tabulated, at most BLOCK combinations kept in memory, and the
+    table is scanned once against each leading-one combination of the others
+    (and once alone).  For p = 2 and at most 64 groups each layer of a word is
+    packed into one machine word; otherwise a coordinate of table entry plus
+    offset is zero exactly when the entry equals the negated offset there.
     """
     B = np.array(basis, dtype=np.int64) % p
     d, ncols = B.shape
@@ -112,30 +117,17 @@ def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = DEFAULT_BUDG
     required = p ** d
     if required > budget:
         raise BudgetError(required, budget)
-    if p <= 63:
-        dt = np.int8
-    elif p <= (1 << 14):
-        dt = np.int16
-    else:
-        dt = np.int32
-    dlo = 0
-    while dlo < d and p ** (dlo + 1) <= BLOCK:
-        dlo += 1
-    base = np.zeros((1, ncols), dtype=dt)
-    for i in range(dlo):
-        mults = [((c * B[i]) % p).astype(dt) for c in range(p)]
-        base = np.concatenate([(base + m) % p for m in mults], axis=0)
     ngroups = ncols // group
+    dlo = 0  # the first row always stays out of the table, to skip multiples
+    while dlo < d - 1 and p ** (dlo + 1) <= BLOCK:
+        dlo += 1
+    hi, lo = B[:d - dlo], B[d - dlo:]
+    if p == 2 and ngroups <= 64:
+        blocks = _binary_weights(hi, lo, ngroups, group)
+    else:
+        blocks = _residue_weights(hi, lo, p, ngroups, group)
     best = ngroups + 1
-    hi = B[dlo:]
-    for combo in itertools.product(range(p), repeat=d - dlo):
-        if combo:
-            offset = ((np.array(combo, dtype=np.int64) @ hi) % p).astype(dt)
-            W = (base + offset) % p
-        else:
-            W = base
-        nz = (W.reshape(-1, ngroups, group) != 0).any(axis=2)
-        w = nz.sum(axis=1)
+    for w in blocks:
         w = w[w > 0]
         if w.size:
             m = int(w.min())
@@ -144,3 +136,52 @@ def min_nonzero_weight(basis, p: int, group: int = 1, budget: int = DEFAULT_BUDG
                 if best == 1:
                     return 1
     return best
+
+
+def _leading_ones(rows, p: int):
+    """Every F_p-combination of the rows whose first nonzero coefficient is 1."""
+    for i in range(len(rows)):
+        for tail in itertools.product(range(p), repeat=len(rows) - 1 - i):
+            yield (rows[i] + np.array(tail, dtype=np.int64) @ rows[i + 1:]) % p
+
+
+def _residue_weights(hi, lo, p: int, ngroups: int, group: int):
+    """Group weights of all combinations of lo, added to zero and then to each
+    leading-one combination of hi: one array per offset."""
+    ncols = lo.shape[1]
+    dt = np.min_scalar_type(2 * p - 2)  # holds the sum of two residues
+    # one combination of lo per column, in C order so that each scan reads rows
+    table = np.zeros((ncols, 1), dtype=dt)
+    for row in lo:
+        s = (np.outer(row, np.arange(p)) % p).astype(dt)[:, :, None] + table[:, None, :]
+        table = np.minimum(s, s - p).reshape(ncols, -1)  # s - p wraps below p
+    count = np.min_scalar_type(ngroups)
+    for offset in itertools.chain([np.zeros(ncols, dtype=np.int64)], _leading_ones(hi, p)):
+        nz = table != ((-offset) % p).astype(dt)[:, None]
+        if group > 1:
+            nz = nz.reshape(ngroups, group, -1).any(axis=1)
+        yield nz.sum(axis=0, dtype=count)
+
+
+def _binary_weights(hi, lo, ngroups: int, group: int):
+    """Group weights of all binary combinations of lo, added to each
+    combination of hi in Gray-code order: one array per combination of hi.
+    Layer l of a word is one uint64 whose bit j is coordinate j's entry."""
+    bits = np.uint64(1) << np.arange(ngroups, dtype=np.uint64)
+
+    def pack(M):
+        layers = M.reshape(len(M), ngroups, group).transpose(0, 2, 1).astype(np.uint64)
+        return (layers * bits).sum(axis=2, dtype=np.uint64)
+
+    table = np.zeros((group, 1), dtype=np.uint64)
+    for row in pack(lo):
+        table = np.concatenate([table, table ^ row[:, None]], axis=1)
+    rows = pack(hi)
+    offset = np.zeros(group, dtype=np.uint64)
+    for step in range(1 << len(hi)):
+        if step:
+            offset ^= rows[(step & -step).bit_length() - 1]
+        support = table[0] ^ offset[0]
+        for layer in range(1, group):
+            support |= table[layer] ^ offset[layer]
+        yield np.bitwise_count(support)

@@ -37,6 +37,8 @@ class TestGrammar:
         ("2*x^3", [0, 0, 0, 2]),
         ("-x", [0, -1]),
         ("x+x", [0, 2]),
+        ("2 x^3 - 1 ", [-1, 0, 0, 2]),
+        ("2 * x**3", [0, 0, 0, 2]),
     ])
     def test_parse(self, text, coeffs):
         assert parse_fp_poly(text, 7, 8) == FpPoly(coeffs, 7)
@@ -44,7 +46,9 @@ class TestGrammar:
     def test_parse_reduces_mod_p(self):
         assert parse_fp_poly("4x+5", 3, 8) == FpPoly([2, 1], 3)
 
-    @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x", "2*", "*x"])
+    @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x", "2*", "*x",
+                                     "1 2", "x^1 0", "x^ 2", "x ^ 3",
+                                     "x ** 3", "x** 1 0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_fp_poly(bad, 3, 8)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from ucyclic.linalg import nullspace, rref
+from ucyclic import linalg
+from ucyclic.linalg import BudgetError, min_nonzero_weight, nullspace, rref
 
 
 def random_matrix(rng, p, nrows, ncols, rank=None):
@@ -57,3 +59,84 @@ class TestNullspace:
         # x + 2y + 3z = 0 over F_5: free columns y, z give (-2, 1, 0), (-3, 0, 1)
         N = nullspace(*rref([[1, 2, 3]], 5), 5)
         assert N.tolist() == [[3, 1, 0], [2, 0, 1]]
+
+
+def naive_min_weight(basis, p, group):
+    """All p^d combinations of the rows, weighed one group at a time; the
+    group count plus one when every combination is zero."""
+    B = np.array(basis, dtype=np.int64) % p
+    d, ncols = B.shape
+    best = ncols // group + 1
+    combos = itertools.product(range(p), repeat=d)
+    while chunk := list(itertools.islice(combos, 4096)):
+        words = np.array(chunk, dtype=np.int64) @ B % p
+        weights = (words.reshape(len(words), -1, group) != 0).any(axis=2).sum(axis=1)
+        if weights.any():
+            best = min(best, int(weights[weights > 0].min()))
+    return best
+
+
+def random_basis(rng, p, d, ncols, kind):
+    """d rows over F_p: dense, sparse, with dependent rows (one a combination
+    of two others, one zero), or with a scaled unit vector among them."""
+    density = 0.1 if kind == "sparse" else 1.0
+    rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(d)]
+    if kind == "dependent" and d > 1:
+        a, b = rng.randrange(p), rng.randrange(p)
+        rows[-1] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[-2])]
+        rows[rng.randrange(d - 1)] = [0] * ncols
+    if kind == "unit":
+        unit = [0] * ncols
+        unit[rng.randrange(ncols)] = rng.randrange(1, p)
+        rows[rng.randrange(d)] = unit
+    return rows
+
+
+# d up to the largest with p^d small enough for the naive reference
+MAX_DIM = {2: 12, 3: 7, 5: 5, 7: 4, 11: 3, 13: 3, 65521: 1}
+
+
+class TestMinNonzeroWeight:
+    @pytest.mark.parametrize("block", [linalg.BLOCK, 8])
+    @pytest.mark.parametrize("group", [1, 2, 3, 8])
+    @pytest.mark.parametrize("p", sorted(MAX_DIM))
+    def test_matches_naive(self, p, group, block, monkeypatch):
+        # a small BLOCK makes the table hold fewer rows than the basis
+        monkeypatch.setattr(linalg, "BLOCK", block)
+        rng = random.Random(f"{p}:{group}:{block}")
+        for trial in range(12):
+            kind = ("dense", "sparse", "dependent", "unit")[trial % 4]
+            ngroups = rng.choice([1, 2, rng.randint(1, 64), 64])
+            d = rng.randint(1, MAX_DIM[p])
+            basis = random_basis(rng, p, d, ngroups * group, kind)
+            assert min_nonzero_weight(basis, p, group) == naive_min_weight(basis, p, group), \
+                (kind, d, ngroups)
+
+    @pytest.mark.parametrize("ngroups", [65, 100])
+    def test_binary_beyond_one_word(self, ngroups):
+        # 65 or more groups at p = 2 do not fit one uint64 per layer
+        rng = random.Random(ngroups)
+        for group in (1, 2):
+            for d in (1, 5, 10):
+                basis = random_basis(rng, 2, d, ngroups * group, "dense")
+                assert min_nonzero_weight(basis, 2, group) == naive_min_weight(basis, 2, group)
+
+    def test_zero_rows_have_no_weight(self):
+        assert min_nonzero_weight([[0, 0, 0, 0]], 3, group=2) == 3
+        assert min_nonzero_weight([[0] * 6] * 3, 2) == 7
+
+    @pytest.mark.parametrize("p,d", [(2, 5), (3, 4), (65521, 2)])
+    def test_budget_counts_every_combination(self, p, d):
+        basis = np.eye(d, dtype=np.int64)
+        assert min_nonzero_weight(basis, p, budget=p ** d) == 1
+        with pytest.raises(BudgetError) as err:
+            min_nonzero_weight(basis, p, budget=p ** d - 1)
+        assert err.value.required == p ** d
+        assert err.value.budget == p ** d - 1
+
+    def test_value_errors(self):
+        with pytest.raises(ValueError, match="empty basis has no nonzero combinations"):
+            min_nonzero_weight(np.zeros((0, 4), dtype=np.int64), 3)
+        with pytest.raises(ValueError, match="column count not divisible by group size"):
+            min_nonzero_weight([[1, 0, 1]], 3, group=2)
