@@ -18,9 +18,8 @@ import sys
 
 from .chainring import RkPoly
 from .code import CyclicCode, code_from_generators, load_code_file
-from .distance import closed_form_distance, repeated_root_distance
-from .gfp import (BudgetError, FpPoly, PrimeParams, factor_xn_minus_1,
-                  fp_cyclic_min_weight)
+from .distance import closed_form_distance, top_distance
+from .gfp import BudgetError, FpPoly, PrimeParams, factor_xn_minus_1
 from .linalg import DEFAULT_BUDGET, InvariantError
 from .properties import SUITES, run_suite
 from .structure import (canonical_form, enumerate_coprime, is_free,
@@ -43,6 +42,8 @@ def parse_fp_poly(text: str, p: int, n: int) -> FpPoly:
     s = s.replace(" ", "")
     if s in ("", "0"):
         return FpPoly.zero(p)
+    if re.search(r"[+-]([+-]|\Z)", s):  # the term split below would drop that sign
+        raise ValueError(f"sign without a term in {text!r}")
     coeffs: dict[int, int] = {}
     for part in re.findall(r"[+-]?[^+-]+", s):
         m = _TERM.fullmatch(part)
@@ -114,20 +115,17 @@ def _trials(text: str) -> int:
 # -- analysis report -------------------------------------------------------
 
 def _resolve_distance(code: CyclicCode, mode: str, budget: int) -> dict:
-    """One method per mode.  `auto` tries only exact methods: the repeated-root
-    distance (length p^l, top torsion (x-1)^t), and, when that is
-    inapplicable, the torsion search.  The paper's closed form is refuted at
-    p=3, so it answers only when asked for by name.  Brute force never answers
+    """The distance entry of the report.  `auto` asks `top_distance`, which
+    tries only exact methods, in its order, on the top torsion generator; the
+    other modes name one method.  The paper's closed form is refuted at p=3,
+    so it answers only when asked for by name.  Brute force never answers
     where torsion ran out of budget (it enumerates at least as many
     codewords), so `auto` does not try it."""
     if code.dim == 0:
         return {"value": None, "method": None, "note": "undefined (zero code)"}
     if mode == "auto":
-        try:
-            return {"value": repeated_root_distance(code), "method": "repeated-root"}
-        except ValueError:
-            mode = "torsion"
-    if mode == "closed-form":
+        value, mode = top_distance(code.torsion_tower().gens[-1], code.params, budget)
+    elif mode == "closed-form":
         value = closed_form_distance(code)
     elif mode == "torsion":
         value = code.min_distance(budget=budget)
@@ -244,11 +242,11 @@ def cmd_enumerate(args) -> int:
     params = PrimeParams(args.p, args.k, args.n)
     nonzero = [t for t in enumerate_coprime(params) if t.dim > 0]
     rows = []
-    distances = {}  # the distance is that of the top torsion code (`min_distance`)
+    distances = {}  # the distance is that of the top torsion code
     for tower in nonzero:
         top = tower.gens[-1]
         if top not in distances:
-            distances[top] = fp_cyclic_min_weight(top, params, budget=args.budget)
+            distances[top] = top_distance(top, params, args.budget)[0]
         rows.append({"generator": format_rk_poly(tower.generator), "rank": tower.rank,
                      "log_cardinality": tower.dim, "distance": distances[top]})
     if args.include_zero:

@@ -243,8 +243,6 @@ class CyclicCode:
         codeword by a power of u lands in u^(k-1) * Tor_(k-1) without
         increasing its weight.
         """
-        if self.dim == 0:
-            raise ValueError("zero code has no minimum distance")
         top = self.torsion_tower().gens[-1]
         return fp_cyclic_min_weight(top, self.params, budget=budget)
 

@@ -1,18 +1,18 @@
-"""Minimum distance of repeated-root codes of length p^l, two ways.
+"""Minimum distance over R_k: the one exact dispatcher, and the paper's law.
 
 The distance of a code over R_k equals the distance of its top torsion code
-over F_p.  When the length is p^l, x^n - 1 = (x-1)^n, so that torsion code is
-generated by (x-1)^t, and its distance depends only on t:
+over F_p.  `top_distance` is the only place that orders the exact methods
+(`analyze --distance-mode auto` and `enumerate` call it).  When n = p^l and
+the top torsion generator is (x-1)^t, t >= 1, the distance is the minimum of
+prod(tau_j + 1) over t <= tau < p^l, tau_j the base-p digits of tau (Massey,
+Costello and Justesen, IEEE-IT 1973); otherwise it searches the torsion code.
 
-- `repeated_root_distance` is exact: the minimum of prod(tau_j + 1) over
-  t <= tau < p^l, tau_j the base-p digits of tau (Massey, Costello and
-  Justesen, IEEE-IT 1973).  `analyze --distance-mode auto` uses it.
-- `closed_form_distance` is the paper's law, read off the digits of t alone:
-  a run of q nonzero leading digits contributes prod(b+1) over the run,
-  doubled when a nonzero digit survives below the run, and t <= p^(l-1)
-  always gives 2.  The exhaustive search refutes it at some p=3 points, so it
-  answers only when asked for by name.  `product_law_check` tests the
-  paper's product law against the exhaustive search the same way.
+`closed_form_distance` is the paper's law for those codes, read off the
+digits of t alone: a run of q nonzero leading digits contributes prod(b+1)
+over the run, doubled when a nonzero digit survives below the run, and
+t <= p^(l-1) always gives 2.  The exhaustive search refutes it at some p=3
+points, so it answers only when asked for by name.  `product_law_check` tests
+the paper's product law against the exhaustive search the same way.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code import CyclicCode
-from .gfp import FpPoly
+from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight
 from .linalg import DEFAULT_BUDGET, InvariantError
 
 __all__ = ["PAdicExpansion", "classify_p_adic", "distance_power_length",
-           "product_law_check", "closed_form_distance", "repeated_root_distance"]
+           "product_law_check", "closed_form_distance", "top_distance"]
 
 ZERO_EXPANSION = "zero"
 NONZERO_EXPANSION = "nonzero"
@@ -98,8 +98,6 @@ def product_law_check(p: int, l: int, b: int, h: FpPoly,
     h must generate a nonzero proper cyclic code of length p^(l-1); the left
     side lives at length p^l.  Returns (lhs, rhs, equal).
     """
-    from .gfp import PrimeParams, fp_cyclic_min_weight
-
     if not 1 <= b < p:
         raise ValueError(f"b must be in [1, p); got {b}")
     half = p ** (l - 1)
@@ -129,19 +127,19 @@ def _power_of_x_minus_1(g: FpPoly) -> int | None:
     return t if g == FpPoly.one(g.p) else None
 
 
-def _power_length_exponents(code: CyclicCode, method: str) -> tuple[int, int, int]:
-    """(p, l, t) with n = p^l and top torsion generator (x-1)^t, t >= 1; a
-    ValueError naming the method when the code is not of that kind."""
-    if code.dim == 0:
+def _power_length_exponents(g: FpPoly, n: int, method: str) -> tuple[int, int, int]:
+    """(p, l, t) with n = p^l and the monic top torsion generator g = (x-1)^t,
+    t >= 1; a ValueError naming the method when the code is not of that kind."""
+    p = g.p
+    if g == FpPoly.xn_minus_1(n, p):
         raise ValueError("zero code has no minimum distance")
-    p, n = code.params.p, code.params.n
     l, m = 0, n
     while m % p == 0:
         m //= p
         l += 1
     if m != 1 or l < 1:
         raise ValueError(f"{method} inapplicable: length is not a power of p")
-    t = _power_of_x_minus_1(code.torsion_tower().gens[-1])
+    t = _power_of_x_minus_1(g)
     if t is None or t == 0:
         raise ValueError(f"{method} inapplicable: top torsion generator is not a "
                          "positive power of x - 1")
@@ -150,7 +148,8 @@ def _power_length_exponents(code: CyclicCode, method: str) -> tuple[int, int, in
 
 def closed_form_distance(code: CyclicCode) -> int:
     """The paper's closed-form distance; needs n = p^l and top torsion (x-1)^t."""
-    return distance_power_length(*_power_length_exponents(code, "closed form"))
+    return distance_power_length(*_power_length_exponents(
+        code.torsion_tower().gens[-1], code.params.n, "closed form"))
 
 
 def _digit_product(tau: int, p: int) -> int:
@@ -162,9 +161,12 @@ def _digit_product(tau: int, p: int) -> int:
     return out
 
 
-def repeated_root_distance(code: CyclicCode) -> int:
-    """Exact minimum distance for n = p^l and top torsion (x-1)^t, t >= 1:
-    min over t <= tau < p^l of prod(tau_j + 1) (Massey, Costello and
-    Justesen, IEEE-IT 1973)."""
-    p, l, t = _power_length_exponents(code, "repeated-root distance")
-    return min(_digit_product(tau, p) for tau in range(t, p ** l))
+def top_distance(g: FpPoly, params: PrimeParams, budget: int) -> tuple[int, str]:
+    """Exact distance of the code with monic top torsion generator g, and its
+    method: "repeated-root" for n = p^l and g = (x-1)^t, t >= 1, else
+    "torsion", the search over p^(n - deg g) codewords within the budget."""
+    try:
+        p, l, t = _power_length_exponents(g, params.n, "repeated-root distance")
+    except ValueError:
+        return fp_cyclic_min_weight(g, params, budget=budget), "torsion"
+    return min(_digit_product(tau, p) for tau in range(t, p ** l)), "repeated-root"

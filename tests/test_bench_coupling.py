@@ -17,13 +17,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch, capsys):
     import ucyclic.cli
     from ucyclic.code import CyclicCode
 
-    originals = (ucyclic.cli.factor_xn_minus_1, CyclicCode.__dict__["dual"])
+    originals = (ucyclic.cli.factor_xn_minus_1, ucyclic.cli.top_distance,
+                 CyclicCode.__dict__["dual"])
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert ucyclic.cli.main(["factor", "--p", "2", "--n", "3"]) == 0
         assert "gfp.factor_xn_minus_1.calls" in tracer.counts
+        # one distance for the analyzed code, one per distinct top generator (7)
+        assert ucyclic.cli.main(["analyze", "--p", "2", "--k", "1", "--n", "4",
+                                 "--gen", "x^2+1"]) == 0
+        assert ucyclic.cli.main(["enumerate", "--p", "2", "--k", "2", "--n", "7"]) == 0
+        assert tracer.counts["distance.top_distance.calls"] == 8
     finally:
         tracer.uninstall()
-    assert (ucyclic.cli.factor_xn_minus_1, CyclicCode.__dict__["dual"]) == originals
+    assert (ucyclic.cli.factor_xn_minus_1, ucyclic.cli.top_distance,
+            CyclicCode.__dict__["dual"]) == originals
     capsys.readouterr()

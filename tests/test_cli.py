@@ -39,6 +39,7 @@ class TestGrammar:
         ("x+x", [0, 2]),
         ("2 x^3 - 1 ", [-1, 0, 0, 2]),
         ("2 * x**3", [0, 0, 0, 2]),
+        ("+x", [0, 1]),
     ])
     def test_parse(self, text, coeffs):
         assert parse_fp_poly(text, 7, 8) == FpPoly(coeffs, 7)
@@ -48,7 +49,8 @@ class TestGrammar:
 
     @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x", "2*", "*x",
                                      "1 2", "x^1 0", "x^ 2", "x ^ 3",
-                                     "x ** 3", "x** 1 0"])
+                                     "x ** 3", "x** 1 0", "x+", "x++1", "x--1",
+                                     "--x", "x+-1", "+", "-"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_fp_poly(bad, 3, 8)
@@ -362,12 +364,12 @@ class TestEnumerateCommand:
         codes = [chain_code(params, t.gens)
                  for t in structure.enumerate_coprime(params) if t.dim]
         tops = []
-        real = cli.fp_cyclic_min_weight
+        real = cli.top_distance
 
         def counting(gen, params, budget):
             tops.append(gen)
-            return real(gen, params, budget=budget)
-        monkeypatch.setattr(cli, "fp_cyclic_min_weight", counting)
+            return real(gen, params, budget)
+        monkeypatch.setattr(cli, "top_distance", counting)
         rc, out, _ = run_cli(["enumerate", "--p", "2", "--k", "2", "--n", "7",
                               "--format", "json"], capsys)
         assert rc == 0

@@ -5,8 +5,9 @@ from ucyclic.code import code_from_generators
 from ucyclic.distance import (FULL_EXPANSION, NONZERO_EXPANSION, ZERO_EXPANSION,
                               classify_p_adic, distance_power_length,
                               closed_form_distance, product_law_check,
-                              repeated_root_distance)
-from ucyclic.gfp import FpPoly, PrimeParams, fp_cyclic_min_weight
+                              top_distance)
+from ucyclic.gfp import (BudgetError, FpPoly, PrimeParams, divisors_xn_minus_1,
+                         fp_cyclic_min_weight)
 
 
 class TestClassify:
@@ -188,8 +189,11 @@ class TestRepeatedRootDistance:
                         continue
                     top = FpPoly([-1, 1], p) ** t
                     code = code_from_generators(pp, [RkPoly.from_fp(top, pp, level=1)])
-                    assert repeated_root_distance(code) == fp_cyclic_min_weight(
-                        top, PrimeParams(p, 1, n), budget=budget), (p, n, t)
+                    expected = (fp_cyclic_min_weight(top, PrimeParams(p, 1, n), budget=budget),
+                                "repeated-root")
+                    g = code.torsion_tower().gens[-1]
+                    assert top_distance(g, pp, budget) == expected, (p, n, t)
+                    assert top_distance(g, pp, 1) == expected, (p, n, t)  # no search
                     checked += 1
                 n *= p
         assert checked == 98
@@ -198,7 +202,8 @@ class TestRepeatedRootDistance:
         pp = PrimeParams(3, 2, 9)
         code = code_from_generators(
             pp, [RkPoly.from_fp(FpPoly([2, 1], 3) ** 4, pp, level=1)])
-        assert repeated_root_distance(code) == 3 == code.min_distance_bruteforce()
+        assert top_distance(code.torsion_tower().gens[-1], pp, 1) == (3, "repeated-root")
+        assert code.min_distance_bruteforce() == 3
 
     def test_inapplicable_like_the_closed_form(self):
         cases = [(PrimeParams(3, 2, 5), FpPoly([2, 1], 3)),
@@ -206,12 +211,30 @@ class TestRepeatedRootDistance:
                  (PrimeParams(2, 1, 4), FpPoly.one(2))]
         for pp, g in cases:
             code = code_from_generators(pp, [RkPoly.from_fp(g, pp)])
-            with pytest.raises(ValueError, match="repeated-root distance inapplicable"):
-                repeated_root_distance(code)
+            assert top_distance(code.torsion_tower().gens[-1], pp, 1 << 16) == (
+                code.min_distance(), "torsion")
             with pytest.raises(ValueError, match="closed form inapplicable"):
                 closed_form_distance(code)
 
     def test_zero_code(self):
         pp = PrimeParams(3, 2, 9)
+        code = code_from_generators(pp, [])
         with pytest.raises(ValueError, match="zero code"):
-            repeated_root_distance(code_from_generators(pp, []))
+            top_distance(code.torsion_tower().gens[-1], pp, 1 << 16)
+
+    @pytest.mark.parametrize("p, n, power", [
+        (2, 7, False), (2, 15, False), (3, 8, False),  # coprime
+        (2, 6, False), (2, 12, False), (3, 6, False),  # p | n, n not a power of p
+        (2, 8, True), (3, 9, True)])
+    def test_every_divisor_matches_torsion_search(self, p, n, power):
+        params = PrimeParams(p, 2, n)
+        for g in divisors_xn_minus_1(params)[:-1]:  # the last, x^n - 1, is the zero code
+            repeated = power and g.degree >= 1 and g == FpPoly([-1, 1], p) ** g.degree
+            expected = (fp_cyclic_min_weight(g, params),
+                        "repeated-root" if repeated else "torsion")
+            assert top_distance(g, params, 1 << 16) == expected, (p, n, g)
+            if not repeated:  # over budget, the search names the codewords it needs
+                required = p ** (n - g.degree)
+                with pytest.raises(BudgetError) as exc:
+                    top_distance(g, params, required - 1)
+                assert exc.value.required == required, (p, n, g)
