@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 property failure, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -279,7 +280,10 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; parse_args returns
+    a fresh namespace on every call."""
     ap = argparse.ArgumentParser(
         prog="ucyclic",
         description="cyclic codes over Z_p + uZ_p + ... + u^(k-1)Z_p")

@@ -18,6 +18,7 @@ F_p dot product of v with c's u-layers reversed inside each coordinate block
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -32,9 +33,10 @@ __all__ = ["CyclicCode", "TorsionTower", "code_from_generators",
            "code_to_json", "code_from_json", "load_code_file"]
 
 
-def _shift_x(vec: np.ndarray, k: int) -> np.ndarray:
-    # multiply by x mod x^n - 1: coordinate blocks rotate one step (row-wise)
-    return np.roll(vec, k, axis=-1)
+def _shift_x(vec: np.ndarray, k: int, m: int = 1) -> np.ndarray:
+    # multiply by x^m mod x^n - 1: coordinate blocks rotate m steps (row-wise)
+    s = k * m
+    return np.concatenate([vec[..., -s:], vec[..., :-s]], axis=-1)
 
 
 def _shift_u(vec: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -55,10 +57,19 @@ def _echelon(params: PrimeParams, rows) -> tuple[np.ndarray, list[int]]:
     first; R keeps the i*k + j layout and the pivots, in visit order, are
     natural column indices.  The RREF for a fixed column order is unique."""
     k, n = params.k, params.n
-    order = [i * k + j for j in range(k) for i in reversed(range(n))]
+    order, inverse = _visit_order(k, n)
     M = np.asarray(rows, dtype=np.int64).reshape(len(rows), k * n)[:, order]  # one copy
     E, piv = linalg.rref(M, params.p)
-    return E[:, np.argsort(order)], [order[c] for c in piv]
+    return E[:, inverse], order[piv].tolist()
+
+
+@functools.cache
+def _visit_order(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # `_echelon`'s column visit order and its inverse permutation, read-only
+    order = np.array([i * k + j for j in range(k) for i in reversed(range(n))], dtype=np.intp)
+    inverse = np.argsort(order)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
 
 
 def _u_multiples(rows: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -130,9 +141,11 @@ class CyclicCode:
     def _assert_closed(self):
         p, k, n = self.params.p, self.params.k, self.params.n
         F = self.footprint
-        if linalg.reduce_vector(F, self.pivots, _shift_x(F, k), p).any():
+        shifts = np.concatenate([_shift_x(F, k), _shift_u(F, n, k)])
+        res = linalg.reduce_vector(F, self.pivots, shifts, p)
+        if res[:self.dim].any():
             raise InvariantError("footprint not closed under the cyclic shift")
-        if linalg.reduce_vector(F, self.pivots, _shift_u(F, n, k), p).any():
+        if res[self.dim:].any():
             raise InvariantError("footprint not closed under u-multiplication")
 
     # -- identity --------------------------------------------------------
@@ -261,7 +274,13 @@ class CyclicCode:
 def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
     """The ideal generated by the given polynomials, reduced mod x^n - 1.
 
-    The footprint spans {x^i * u^j * g : i < n, j < k, g in gens}.
+    The footprint spans {x^i * u^j * g : i < n, j < k, g in gens}.  It is
+    built by doubling: if the rows span the x^i-multiples for i < m, then they
+    and their rotations by m coordinate blocks span those for i < 2m.  The
+    stack is reduced (`_echelon`) whenever it has more rows than columns,
+    which keeps it small; when the last doubling step reduced it, that echelon
+    form is the footprint, and only a stack that step left unreduced goes
+    through `CyclicCode.from_rows`.
     """
     k, n = params.k, params.n
     reduced = []
@@ -270,16 +289,18 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
             raise ValueError("parameter mismatch among generators")
         reduced.append(g.mod_xn())
     rows = _u_multiples(linalg.as_matrix([g.to_vector() for g in reduced], k * n, params.p), n, k)
-    # doubling: if the rows span the x^i-multiples for i < m, then they and
-    # their rotations by m coordinate blocks span those for i < 2m; reducing
-    # (`_echelon`) whenever there are more rows than columns keeps the stack
-    # small and hands from_rows rows already in the footprint's echelon order
+    echelon = None  # (R, pivots) of the stack while the stack is that R
     m = 1
-    while m < n:
-        rows, m = np.concatenate([rows, np.roll(rows, k * m, axis=-1)]), 2 * m
-        if len(rows) > k * n:
-            rows, _ = _echelon(params, rows)
-    return CyclicCode.from_rows(params, rows, generators=reduced)
+    while m < n and len(rows):  # an empty stack stays empty when doubled
+        rows, m = np.concatenate([rows, _shift_x(rows, k, m)]), 2 * m
+        echelon = _echelon(params, rows) if len(rows) > k * n else None
+        if echelon is not None:
+            rows = echelon[0]
+    if echelon is None:
+        return CyclicCode.from_rows(params, rows, generators=reduced)
+    code = CyclicCode(params, reduced, *echelon)
+    code._assert_closed()
+    return code
 
 
 def _validate_digits(entry, k: int, p: int) -> list[int]:

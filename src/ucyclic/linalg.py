@@ -36,31 +36,85 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p.
 
     Returns (R, pivots): zero rows dropped, pivot entries scaled to 1, pivot
-    columns cleared above and below.  R is the canonical form of the row space.
+    columns cleared above and below, pivots ascending, R an int64 array.  R
+    is the canonical form of the row space.
+
+    A pivot step takes the largest entry of its column at or below row r,
+    scales the row only when that entry is not 1, and touches only the rows
+    with an entry in the column, from that column on.  For p = 2 each row is
+    packed into a Python int, column c at bit ncols-1-c, so a row's leading
+    bit is its pivot column.  The rows are inserted one at a time into an
+    echelon basis keyed by leading bit: while a new row has a bit in the
+    mask of leading bits, the basis row at the highest such bit is XORed
+    in, and what is left, if anything, joins the basis.  Then each basis
+    row, lowest leading bit first, is cleared at the other leading bits by
+    XORing in the rows already final, and the basis is unpacked once, in
+    ascending pivot order.
     """
     M = np.array(mat, dtype=np.int64)
     M %= p
+    if p == 2:
+        return _rref_binary(M)
     nrows, ncols = M.shape
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
+        col = M[:, c]
+        i = r + int(col[r:].argmax())
+        a = int(col[i])
+        if a == 0:
             continue
-        i = r + int(nz[0])
         if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        # only rows with an entry in column c change, and only from column c
-        col = M[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        M[rows, c:] = (M[rows, c:] - np.outer(col[rows], M[r, c:])) % p
+            row = M[i].copy()
+            M[i] = M[r]
+            M[r] = row
+        pivot_row = M[r, c:]
+        if a != 1:
+            pivot_row *= pow(a, -1, p)
+            pivot_row %= p
+        factors = col.copy()
+        factors[r] = 0
+        rows = factors.nonzero()[0]
+        if rows.size:
+            M[rows, c:] = (M[rows, c:] - factors[rows, None] * pivot_row) % p
         pivots.append(c)
         r += 1
     return M[:r], pivots
+
+
+def _rref_binary(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    # rref over F_2 on rows packed into Python ints (see rref)
+    nrows, ncols = M.shape
+    nbytes = (ncols + 7) // 8
+    data = np.packbits(M.astype(np.uint8), axis=1).tobytes()
+    basis: dict[int, int] = {}  # leading bit -> row
+    leads = 0
+    for i in range(nrows):
+        x = int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big")
+        hits = x & leads
+        while hits:
+            x ^= basis[1 << (hits.bit_length() - 1)]
+            hits = x & leads
+        if x:
+            lead = 1 << (x.bit_length() - 1)
+            basis[lead] = x
+            leads |= lead
+    bits = sorted(basis)
+    for b in bits:  # the rows with lower leading bits are already final
+        row = basis[b]
+        hits = row & leads & (b - 1)
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit]
+            hits ^= bit
+        basis[b] = row
+    bits.reverse()
+    packed = np.frombuffer(b"".join(basis[b].to_bytes(nbytes, "big") for b in bits),
+                           dtype=np.uint8).reshape(len(bits), nbytes)
+    R = np.unpackbits(packed, axis=1, count=ncols).astype(np.int64)
+    return R, [8 * nbytes - b.bit_length() for b in bits]
 
 
 def reduce_vector(R: np.ndarray, pivots, v, p: int) -> np.ndarray:

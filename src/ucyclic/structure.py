@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 
 from . import linalg
 from .chainring import RkPoly
@@ -254,9 +253,14 @@ def enumerate_coprime(params: PrimeParams) -> list[TorsionTower]:
     count = (params.k + 1) ** len(facs)
     if count > CHAIN_CAP:
         raise ValueError(f"divisor-chain count too large: {count} chains exceed cap {CHAIN_CAP}")
-    towers = []
-    for thresholds in itertools.product(range(params.k + 1), repeat=len(facs)):
-        chain = tuple(prod((q for q, t in zip(facs, thresholds) if t > i),
-                           start=FpPoly.one(params.p)) for i in range(params.k))
-        towers.append(TorsionTower(params, chain))
+    # products[mask] is the product of the factors whose bits are set in mask
+    products = [FpPoly.one(params.p)]
+    for q in facs:
+        products += [g * q for g in products]
+    # factor j under threshold t adds bit j to the masks of the levels below t
+    levels = range(params.k)
+    choices = [[tuple(1 << j if t > i else 0 for i in levels) for t in range(params.k + 1)]
+               for j in range(len(facs))]
+    towers = [TorsionTower(params, tuple(products[sum(bits)] for bits in zip(*masks)))
+              for masks in itertools.product(*choices)]
     return sorted(towers, key=lambda t: (t.dim == 0, t.dim, tuple(g.coeffs for g in t.gens)))

@@ -275,17 +275,37 @@ class TestSingleEchelon:
         monkeypatch.setattr(ucyclic.code, "_echelon", counting)
         return calls
 
-    @pytest.mark.parametrize("run", [
-        lambda: edge_code(64, seed=5),
-        lambda: main(["analyze", "--p", "3", "--k", "2", "--n", "5", "--gen", "x+2; 1"])],
+    @pytest.mark.parametrize("run, count", [
+        (lambda: edge_code(64, seed=5), 2),
+        (lambda: main(["analyze", "--p", "3", "--k", "2", "--n", "5", "--gen", "x+2; 1"]), 1)],
         ids=["edge-code-64", "analyze"])
-    def test_every_rref_is_an_echelon_form(self, monkeypatch, capsys, run):
+    def test_every_rref_is_an_echelon_form(self, monkeypatch, capsys, run, count):
         # code_from_generators reduces its doubling stack in the footprint's
-        # column order too
+        # column order too; the analyzed code's last doubling step reduces the
+        # stack, and that echelon form is its footprint
         rrefs, echelons = self._count_rref(monkeypatch), self._count_echelon(monkeypatch)
         run()
-        assert len(echelons) > 1
+        assert len(echelons) == count
         assert len(rrefs) == len(echelons)
+
+    def test_no_echelon_form_is_reduced_again(self, monkeypatch):
+        # n >= 2: at n = 1 the stack is never doubled, and its one elimination
+        # may meet rows that already are an echelon form (the generator 1, say)
+        already = []
+        real = linalg.rref
+
+        def checking(mat, p):
+            R, pivots = real(mat, p)
+            already.append(np.array_equal(R, np.asarray(mat) % p))
+            return R, pivots
+        monkeypatch.setattr(linalg, "rref", checking)
+        rng = random.Random(47)
+        for _ in range(50):
+            random_subcode(rng, PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(1, 6),
+                                            rng.randint(2, 16)))
+        edge_code(64, seed=5)
+        edge_code(63, seed=5)
+        assert already and not any(already)
 
     def test_one_rref_per_code_through_every_structure_read(self, monkeypatch):
         rng = random.Random(43)

@@ -30,6 +30,74 @@ def check_nullspace(M, p):
     return N
 
 
+def naive_rref(mat, p):
+    """Reduced row echelon form over F_p, one full pivot step per column
+    (reference only)."""
+    M = np.array(mat, dtype=np.int64) % p
+    nrows, ncols = M.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        col = M[:, c].copy()
+        col[r] = 0
+        rows = np.nonzero(col)[0]
+        M[rows, c:] = (M[rows, c:] - np.outer(col[rows], M[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return M[:r], pivots
+
+
+RREF_PRIMES = [2, 3, 5, 7, 65521]
+
+
+class TestRref:
+    def check(self, M, p):
+        R, pivots = rref(M, p)
+        R0, pivots0 = naive_rref(M, p)
+        assert R.dtype == np.int64
+        assert pivots == pivots0
+        assert np.array_equal(R, R0)
+        # every pivot column is a unit vector
+        assert np.array_equal(R[:, pivots], np.eye(len(pivots), dtype=np.int64))
+
+    @pytest.mark.parametrize("ncols", [1, 7, 8, 9, 63, 64, 65, 128, 129, 512])
+    @pytest.mark.parametrize("p", RREF_PRIMES)
+    def test_random_matches_naive(self, p, ncols):
+        # the column counts straddle the byte and word edges of packed rows
+        rng = random.Random(f"{p}:{ncols}")
+        for trial in range(6):
+            nrows = min(rng.choice([1, rng.randint(1, 40), ncols + rng.randint(1, 8)]), 96)
+            rank = None if trial % 2 else rng.randint(0, min(nrows, ncols))
+            self.check(random_matrix(rng, p, nrows, ncols, rank), p)
+
+    @pytest.mark.parametrize("p", RREF_PRIMES)
+    def test_edge_shapes(self, p):
+        rng = random.Random(p)
+        row = random_matrix(rng, p, 1, 9)
+        dependent = random_matrix(rng, p, 3, 9)
+        dependent = np.vstack([dependent, (2 * dependent[0] + dependent[2]) % p])
+        for M in [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+                  np.zeros((0, 0), dtype=np.int64), np.zeros((3, 9), dtype=np.int64),
+                  np.vstack([row, row, row]), dependent,
+                  random_matrix(rng, p, 20, 6), random_matrix(rng, p, 20, 6, rank=3)]:
+            self.check(M, p)
+
+    def test_input_is_not_modified(self):
+        M = np.array([[3, 1], [1, 2]], dtype=np.int64)
+        rref(M, 2)
+        rref(M, 5)
+        assert M.tolist() == [[3, 1], [1, 2]]
+
+
 class TestNullspace:
     @pytest.mark.parametrize("p", [2, 3, 7, 65521])
     def test_random(self, p):
