@@ -7,9 +7,11 @@ hashing key; the stored generator list is presentation only, and a code
 built from rows (such as a dual) has none.  Every construction checks closure
 of the footprint under the cyclic shift (x-multiplication) and under
 u-multiplication.  Every F_p elimination runs through `_echelon`, which visits the
-columns layer-major, highest degree first, so the torsion tower and the
-canonical lifted generators are read off the footprint's rows with no
-further elimination (`CyclicCode.level_generators`).  The dual is the
+columns layer-major, highest degree first.  That order proves the structure
+read off the footprint: the last row pivoting in layer i is the canonical
+lifted generator of level i, and its layer i is the torsion generator g_i
+(`CyclicCode.level_generators`, `CyclicCode.torsion_tower`), with no further
+elimination and no check beyond the tower's own.  The dual is the
 F_p-nullspace read off the footprint: v is orthogonal to a u-closed code iff
 the top u-layer of every inner product v . c vanishes, and that layer is the
 F_p dot product of v with c's u-layers reversed inside each coordinate block
@@ -60,7 +62,7 @@ def _echelon(params: PrimeParams, rows) -> tuple[np.ndarray, list[int]]:
     order, inverse = _visit_order(k, n)
     M = np.asarray(rows, dtype=np.int64).reshape(len(rows), k * n)[:, order]  # one copy
     E, piv = linalg.rref(M, params.p)
-    return E[:, inverse], order[piv].tolist()
+    return E.take(inverse, axis=1), order[piv].tolist()  # C order: CyclicCode keeps it uncopied
 
 
 @functools.cache
@@ -180,29 +182,33 @@ class CyclicCode:
         vec = np.array(w.to_vector(), dtype=np.int64)
         return not linalg.reduce_vector(self.footprint, self.pivots, vec, self.params.p).any()
 
-    def level_generators(self) -> tuple:
-        """Per level i, the codeword of u-valuation i whose layer i is the monic
-        torsion generator g_i and whose layers j > i have degree < deg g_j;
-        None when Tor_i is zero.
-
-        It is the last footprint row whose pivot lies in layer i: the
-        footprint's columns are visited layer-major, highest degree first, so
-        the rows pivoting in layer i restricted to it are Tor_i's echelon
-        basis, whose last row is g_i, and layer j's pivots sit at degrees
-        deg g_j .. n-1.
-        """
+    def _last_rows(self) -> dict[int, int]:
+        # layer i -> index of the last footprint row whose pivot lies in layer i
         k = self.params.k
-        last = {c % k: r for r, c in enumerate(self.pivots)}
+        return {c % k: r for r, c in enumerate(self.pivots)}
+
+    def level_generators(self) -> tuple:
+        """Per level i, the last footprint row whose pivot lies in layer i, as
+        an RkPoly; None when Tor_i is zero.
+
+        It has u-valuation i, its layer i is the monic torsion generator g_i,
+        each layer j > i has degree < deg g_j, and it lies in C; see
+        `structure.canonical_form` for why the column order proves all four.
+        """
+        last = self._last_rows()
         return tuple(RkPoly.from_vector(self.footprint[last[i]].tolist(), self.params)
-                     if i in last else None for i in range(k))
+                     if i in last else None for i in range(self.params.k))
 
     def torsion_tower(self) -> TorsionTower:
         if self._tower is not None:
             return self._tower
         p, k, n = self.params.p, self.params.k, self.params.n
         xn1 = FpPoly.xn_minus_1(n, p)
-        gens = [xn1 if g is None else g.ulayers[i]
-                for i, g in enumerate(self.level_generators())]
+        # g_i is layer i of the last row pivoting in layer i; the checks below
+        # are that reading's hypotheses for a code built without closure checks
+        F, last = self.footprint, self._last_rows()
+        gens = [FpPoly(F[last[i], i::k].tolist(), p) if i in last else xn1
+                for i in range(k)]
         for i in range(k - 1):
             if not (gens[i] % gens[i + 1]).is_zero:
                 raise InvariantError("torsion divisibility chain broken")
@@ -278,9 +284,8 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
     built by doubling: if the rows span the x^i-multiples for i < m, then they
     and their rotations by m coordinate blocks span those for i < 2m.  The
     stack is reduced (`_echelon`) whenever it has more rows than columns,
-    which keeps it small; when the last doubling step reduced it, that echelon
-    form is the footprint, and only a stack that step left unreduced goes
-    through `CyclicCode.from_rows`.
+    which keeps it small; the footprint is the last step's echelon form, or
+    that of the stack when the last step left it unreduced.
     """
     k, n = params.k, params.n
     reduced = []
@@ -297,7 +302,7 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
         if echelon is not None:
             rows = echelon[0]
     if echelon is None:
-        return CyclicCode.from_rows(params, rows, generators=reduced)
+        echelon = _echelon(params, rows)
     code = CyclicCode(params, reduced, *echelon)
     code._assert_closed()
     return code

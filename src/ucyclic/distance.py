@@ -114,24 +114,13 @@ def product_law_check(p: int, l: int, b: int, h: FpPoly,
     return lhs, rhs, lhs == rhs
 
 
-def _power_of_x_minus_1(g: FpPoly) -> int | None:
-    """t with g = (x-1)^t (monic g), or None."""
-    xm1 = FpPoly((-1, 1), g.p)
-    t = 0
-    while g.degree > 0:
-        q, r = divmod(g, xm1)
-        if not r.is_zero:
-            return None
-        g = q
-        t += 1
-    return t if g == FpPoly.one(g.p) else None
-
-
 def _power_length_exponents(g: FpPoly, n: int, method: str) -> tuple[int, int, int]:
     """(p, l, t) with n = p^l and the monic top torsion generator g = (x-1)^t,
-    t >= 1; a ValueError naming the method when the code is not of that kind."""
+    t >= 1; a ValueError naming the method when the code is not of that kind.
+    Over F_p, x^(p^l) - 1 = (x-1)^(p^l), so a monic divisor g is (x-1)^deg g."""
     p = g.p
-    if g == FpPoly.xn_minus_1(n, p):
+    xn1 = FpPoly.xn_minus_1(n, p)
+    if g == xn1:
         raise ValueError("zero code has no minimum distance")
     l, m = 0, n
     while m % p == 0:
@@ -139,11 +128,12 @@ def _power_length_exponents(g: FpPoly, n: int, method: str) -> tuple[int, int, i
         l += 1
     if m != 1 or l < 1:
         raise ValueError(f"{method} inapplicable: length is not a power of p")
-    t = _power_of_x_minus_1(g)
-    if t is None or t == 0:
+    if not (xn1 % g).is_zero:
+        raise ValueError("generator must divide x^n - 1")
+    if g.degree == 0:
         raise ValueError(f"{method} inapplicable: top torsion generator is not a "
                          "positive power of x - 1")
-    return p, l, t
+    return p, l, g.degree
 
 
 def closed_form_distance(code: CyclicCode) -> int:

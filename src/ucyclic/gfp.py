@@ -175,8 +175,9 @@ class FpPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __divmod__(self, other: "FpPoly"):

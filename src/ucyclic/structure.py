@@ -3,22 +3,21 @@
 The canonical form takes, for each tower level that contributes new content,
 the codeword of u-valuation i whose layer i is the torsion generator g_i and
 whose higher layers j lie below deg g_j (`CyclicCode.level_generators`).  It
-is built once per code and checked by one certificate per lifted generator,
-from which the other structure results follow by theorem (`canonical_form`).
+is read once per code, the footprint's column order proves it, and the other
+structure results follow from it by theorem (`canonical_form`).
 Rank and the coprime single generator are read off the torsion tower, so
 coprime enumeration lists divisor chains and builds no code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from . import linalg
 from .chainring import RkPoly
 from .code import CyclicCode, TorsionTower
 from .gfp import FpPoly, PrimeParams, factor_xn_minus_1
-from .linalg import InvariantError
 
 __all__ = [
     "CanonicalForm", "SpanningSet", "ConstraintCheck", "ConstraintReport",
@@ -88,32 +87,25 @@ def _xn1(params: PrimeParams) -> FpPoly:
 
 
 def canonical_form(code: CyclicCode) -> CanonicalForm:
-    """The canonical tower of lifted generators, built and checked once per code.
+    """The canonical tower of lifted generators, read once per code.
 
-    Certificate per lifted G_i: u-valuation i, layer i equal to g_i, mixing
-    layers j > i below deg g_j, and G_i in C.  Theorem: <G> = C and Tor_i(C)
-    = <g_i>, since <G> lies in C and Tor_i(<G>) holds g_i (G_i, or u times
-    level i - 1), so dim <G> >= sum (n - deg g_i) = dim C.
+    Theorem: let G_i be the last footprint row whose pivot lies in layer i
+    (`CyclicCode.level_generators`).  (1) G_i has u-valuation i: every column
+    of layers < i is visited before its pivot.  (2) Its layer i is g_i, by the
+    definition of the tower.  (3) Each layer j > i has degree < deg g_j: the
+    layer-j pivots are distinct degrees >= deg g_j, the tower's dimension
+    check makes them n - deg g_j many, so they fill [deg g_j, n), and the RREF
+    clears those columns in every other row.  (4) G_i lies in C, being a
+    footprint row.  Hence <G> = C and Tor_i(C) = <g_i>: Tor_i(<G>) holds g_i
+    (G_i, or u times level i - 1), so dim <G> >= sum (n - deg g_i) = dim C.
     """
     if code._canonical is not None:
         return code._canonical
-    params = code.params
     tower = code.torsion_tower()
-    lifted: list[RkPoly | None] = [None] * params.k
-    for i, w in enumerate(code.level_generators()):
-        prev = tower.gens[i - 1] if i else _xn1(params)
-        if tower.gens[i] == prev:
-            continue
-        if w.u_valuation() != i or w.ulayers[i] != tower.gens[i]:
-            raise InvariantError(f"lifted generator {i} has the wrong valuation or layer")
-        if any(w.ulayers[j].degree >= tower.gens[j].degree
-               for j in range(i + 1, params.k)):
-            raise InvariantError(f"lifted generator {i} has an unreduced mixing layer")
-        lifted[i] = w
-    rows = [g.to_vector() for g in lifted if g is not None]
-    if linalg.reduce_vector(code.footprint, code.pivots, rows, params.p).any():
-        raise InvariantError("a lifted generator lies outside the code")
-    code._canonical = CanonicalForm(tower, tuple(lifted))
+    prev = (_xn1(code.params),) + tower.gens[:-1]
+    lifted = tuple(None if g == q else w
+                   for w, g, q in zip(code.level_generators(), tower.gens, prev))
+    code._canonical = CanonicalForm(tower, lifted)
     return code._canonical
 
 
@@ -177,6 +169,7 @@ def verify_constraints(code: CyclicCode) -> ConstraintReport:
     tower = cf.tower
     params = code.params
     xn1 = _xn1(params)
+    cof = functools.cache(lambda t: xn1 // tower.gens[t])  # once per level
     checks = []
     for s in cf.present_levels:
         g_s = cf.lifted[s]
@@ -188,13 +181,9 @@ def verify_constraints(code: CyclicCode) -> ConstraintReport:
                 continue
             mixed = m
             for t in range(s, j):
-                mixed = mixed * (xn1 // tower.gens[t])
+                mixed = mixed * cof(t)
             chain_ok = (mixed % gj).is_zero
-            cof = xn1 // tower.gens[s]
-            repeated = m
-            for _ in range(j - s):
-                repeated = repeated * cof
-            repeated_ok = (repeated % gj).is_zero
+            repeated_ok = (m * cof(s) ** (j - s) % gj).is_zero
             checks.append(ConstraintCheck(s, j, m, False, chain_ok, repeated_ok))
     return ConstraintReport(tuple(checks))
 

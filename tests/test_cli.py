@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ucyclic
-from ucyclic import cli, structure
+from ucyclic import cli, linalg, structure
 from ucyclic.chainring import RkPoly
 from ucyclic.cli import (build_report, format_fp_poly, format_rk_poly, main,
                          parse_budget, parse_fp_poly, parse_rk_poly)
@@ -300,12 +300,12 @@ class TestAnalyzeCommand:
         assert "reconstruct" in err
 
     def test_report_reconstructs_once(self, monkeypatch):
-        # three present levels; the canonical form is checked by its
-        # certificate, not by a rebuild, the shape, freeness, constraints and
-        # spanning set follow from it, and the dual fields are read by
-        # theorem, so the report constructs no code; the certificate's
-        # membership reduction runs once per code, not once per use of the
-        # canonical form
+        # three present levels; the canonical form is read off the footprint
+        # by theorem, not checked or rebuilt, the shape, freeness, constraints
+        # and spanning set follow from it, and the dual fields are read by
+        # theorem, so the report constructs no code, canonical_form reduces
+        # nothing against the footprint, and the level generators are read
+        # once per code, not once per use of the canonical form or the tower
         pp = PrimeParams(2, 3, 4)
         code = code_from_generators(pp, [
             RkPoly([FpPoly([1, 1, 1, 1], 2), FpPoly([0, 1], 2)], pp),
@@ -320,18 +320,29 @@ class TestAnalyzeCommand:
             built.append(params)
             return real_from_rows(cls, params, rows, generators)
         monkeypatch.setattr(CyclicCode, "from_rows", classmethod(counting_from_rows))
-        reductions = []
-        real_reduce = structure.linalg.reduce_vector
+        in_canonical = []
+        real_reduce = linalg.reduce_vector
 
         def counting_reduce(R, pivots, v, p):
-            if R is fresh.footprint:
-                reductions.append(len(v))
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not canonical_code:
+                frame = frame.f_back
+            in_canonical.append(frame is not None)
             return real_reduce(R, pivots, v, p)
-        monkeypatch.setattr(structure.linalg, "reduce_vector", counting_reduce)
+        canonical_code = structure.canonical_form.__code__
+        monkeypatch.setattr(linalg, "reduce_vector", counting_reduce)
+        read = []
+        real_levels = CyclicCode.level_generators
+
+        def counting_levels(self):
+            read.append(self)
+            return real_levels(self)
+        monkeypatch.setattr(CyclicCode, "level_generators", counting_levels)
         build_report(fresh)
         build_report(fresh)
         assert built == []
-        assert reductions == [3]
+        assert not any(in_canonical)
+        assert len(read) == 1 and read[0] is fresh
 
 
 class TestEnumerateCommand:

@@ -16,10 +16,10 @@ from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
 from ucyclic.linalg import InvariantError
-from ucyclic.properties import chain_code, random_code, random_params
+from ucyclic.properties import chain_code, random_chain, random_code, random_params
 from ucyclic.structure import enumerate_coprime
 
-from test_structure import edge_code
+from test_structure import edge_code, mixed_tower_code
 
 P345 = PrimeParams(3, 4, 5)
 G1 = FpPoly([2, 1], 3)
@@ -142,24 +142,19 @@ class TestInvariants:
             bare.torsion_tower()
 
     def test_survives_optimize_flag(self):
-        # an ideal that is not closed, and a lifted generator G_0 + u outside
-        # the code <x + 2> over R_2 (the canonical form's certificate)
-        script = ("from ucyclic.chainring import RkPoly\n"
-                  "from ucyclic.code import CyclicCode, code_from_generators\n"
-                  "from ucyclic.gfp import FpPoly, PrimeParams\n"
+        # an ideal that is not closed, and the tower of a bare subspace (the
+        # tower checks are the hypotheses the canonical form's theorem needs)
+        script = ("import numpy as np\n"
+                  "from ucyclic.code import CyclicCode\n"
+                  "from ucyclic.gfp import PrimeParams\n"
                   "from ucyclic.linalg import InvariantError\n"
-                  "from ucyclic.structure import canonical_form\n"
                   "try:\n"
                   "    CyclicCode.from_rows(PrimeParams(2, 1, 3), [[1, 0, 0]])\n"
                   "except InvariantError:\n"
                   "    print('raised')\n"
-                  "pp = PrimeParams(3, 2, 5)\n"
-                  "code = code_from_generators(pp, [RkPoly([[2, 1]], pp)])\n"
-                  "real = CyclicCode.level_generators\n"
-                  "u = RkPoly([[], [1]], pp)\n"
-                  "CyclicCode.level_generators = lambda c: (real(c)[0] + u,) + real(c)[1:]\n"
+                  "bare = CyclicCode(PrimeParams(2, 1, 3), (), np.array([[1, 0, 0]]), [0])\n"
                   "try:\n"
-                  "    canonical_form(code)\n"
+                  "    bare.torsion_tower()\n"
                   "except InvariantError:\n"
                   "    print('raised')\n")
         src = str(Path(ucyclic.__file__).resolve().parents[1])
@@ -168,6 +163,34 @@ class TestInvariants:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["raised", "raised"]
+
+
+class TestCanonicalFormTheorem:
+    """The four conditions that the footprint's column order proves for every
+    lifted generator G_i (`structure.canonical_form`), checked directly."""
+
+    @staticmethod
+    def _assert_conditions(code):
+        cf = structure.canonical_form(code)
+        gens = cf.tower.gens
+        for i in cf.present_levels:
+            w = cf.lifted[i]
+            assert w.u_valuation() == i
+            assert w.ulayers[i] == gens[i]
+            assert all(w.ulayers[j].degree < gens[j].degree
+                       for j in range(i + 1, code.params.k))
+            assert code.contains(w)
+
+    def test_random_codes_across_the_envelope(self):
+        rng = random.Random(53)
+        for _ in range(120):
+            pp = PrimeParams(rng.choice([2, 3, 5, 7, 65521]), rng.randint(1, 8),
+                             rng.randint(1, 64))
+            self._assert_conditions(mixed_tower_code(pp, random_chain(rng, pp), rng))
+
+    @pytest.mark.parametrize("n", [64, 63])
+    def test_envelope_edge(self, n):
+        self._assert_conditions(edge_code(n, seed=5))
 
 
 class TestContains:

@@ -216,6 +216,11 @@ class TestRepeatedRootDistance:
             with pytest.raises(ValueError, match="closed form inapplicable"):
                 closed_form_distance(code)
 
+    def test_non_divisor_at_power_length(self):
+        # x^2 + x + 1 does not divide x^8 - 1 = (x + 1)^8 over F_2
+        with pytest.raises(ValueError, match="must divide"):
+            top_distance(FpPoly([1, 1, 1], 2), PrimeParams(2, 1, 8), 1 << 16)
+
     def test_zero_code(self):
         pp = PrimeParams(3, 2, 9)
         code = code_from_generators(pp, [])

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from ucyclic.chainring import RkElem, RkPoly
-from ucyclic.code import CyclicCode, code_from_generators
+from ucyclic.code import code_from_generators
 from ucyclic.gfp import FpPoly, PrimeParams, factor_xn_minus_1
-from ucyclic.linalg import InvariantError
 from ucyclic.properties import (_irredundant, _module_span, chain_code,
                                 random_chain, random_code, random_params)
 from ucyclic.structure import (SHAPE_FULL_TOWER, SHAPE_PRINCIPAL,
@@ -79,33 +78,6 @@ class TestCanonicalForm:
             code = random_code(rng, params)
             cf = canonical_form(code)
             assert code_from_generators(params, list(cf.generators)) == code
-
-
-class TestCertificate:
-    @staticmethod
-    def tampered(monkeypatch, delta):
-        """<x + 2> over R_2, with level_generators handing out G_0 + delta."""
-        pp = PrimeParams(3, 2, 5)
-        code = code_from_generators(pp, [gen(G1, pp)])
-        assert code.torsion_tower().gens == (G1, G1)
-        real = CyclicCode.level_generators
-        monkeypatch.setattr(CyclicCode, "level_generators",
-                            lambda c: (real(c)[0] + delta(pp),) + real(c)[1:])
-        return code
-
-    def test_lift_outside_code(self, monkeypatch):
-        # adding u keeps layer 1 of G_0 below deg g_1 = 1, but u is no codeword
-        code = self.tampered(monkeypatch, lambda pp: gen(FpPoly.one(3), pp, level=1))
-        with pytest.raises(InvariantError, match="outside the code"):
-            canonical_form(code)
-
-    def test_unreduced_mixing_layer(self, monkeypatch):
-        # u * g_1 is a codeword at k = 2, so G_0 + u * g_1 stays in C; only
-        # its layer 1, now of degree deg g_1, breaks the certificate
-        code = self.tampered(monkeypatch, lambda pp: gen(G1, pp, level=1))
-        assert code.contains(code.level_generators()[0])
-        with pytest.raises(InvariantError, match="unreduced mixing layer"):
-            canonical_form(code)
 
 
 class TestIsFree:
@@ -262,27 +234,31 @@ class TestNakayamaMinimality:
         assert True in verdicts and False in verdicts
 
 
+def mixed_tower_code(params, chain, rng):
+    """One generator per distinct entry of the divisor chain, u^i (g_i +
+    sum_j u^(j-i) m_ij), with each mixing layer m_ij a random multiple of the
+    last entry."""
+    p, k, n = params.p, params.k, params.n
+    gens = []
+    for i, g in enumerate(chain):
+        if i and g == chain[i - 1]:
+            continue
+        mixing = [(chain[-1] * FpPoly([rng.randrange(p) for _ in range(n)], p))
+                  .mod_xn_minus_1(n) for _ in range(i + 1, k)]
+        gens.append(RkPoly([FpPoly.zero(p)] * i + [g] + mixing, params))
+    return code_from_generators(params, gens)
+
+
 def edge_code(n, seed):
-    """A code at the envelope edge p = 3, k = 8: one generator per distinct
-    tower entry, u^i (g_i + sum_j u^(j-i) m_ij), with each mixing layer m_ij
-    a random multiple of the top entry."""
+    """A code at the envelope edge p = 3, k = 8 (`mixed_tower_code`)."""
     p, one = 3, FpPoly.one(3)
-    params = PrimeParams(p, 8, n)
     if n == 64:  # coprime: x^64 - 1 = (x - 1)(x + 1)(x^2 + 1) ... (x^32 + 1)
         b = [FpPoly.monomial(1, e, p) + one for e in (32, 16, 8, 4)]
         chain = [b[0] * b[1] * b[2] * b[3]] * 2 + [b[0] * b[1] * b[2]] * 3 + [b[0]] * 3
     else:  # n = 63: x^63 - 1 = (x - 1)^9 (x^6 + ... + 1)^9
         xm, phi = FpPoly([-1, 1], p), FpPoly([1] * 7, p)
         chain = [xm ** 8 * phi ** 9] * 2 + [xm ** 5 * phi ** 8] * 3 + [xm * phi ** 7] * 3
-    rng = random.Random(seed)
-    gens = []
-    for i, g in enumerate(chain):
-        if i and g == chain[i - 1]:
-            continue
-        mixing = [(chain[-1] * FpPoly([rng.randrange(p) for _ in range(n)], p))
-                  .mod_xn_minus_1(n) for _ in range(i + 1, 8)]
-        gens.append(RkPoly([FpPoly.zero(p)] * i + [g] + mixing, params))
-    return code_from_generators(params, gens)
+    return mixed_tower_code(PrimeParams(p, 8, n), chain, random.Random(seed))
 
 
 class TestEnvelopeEdge:
