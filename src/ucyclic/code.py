@@ -11,7 +11,9 @@ columns layer-major, highest degree first.  That order proves the structure
 read off the footprint: the last row pivoting in layer i is the canonical
 lifted generator of level i, and its layer i is the torsion generator g_i
 (`CyclicCode.level_generators`, `CyclicCode.torsion_tower`), with no further
-elimination and no check beyond the tower's own.  The dual is the
+elimination and no check beyond the tower's own.  `code_from_generators`
+keeps its echelon form between doubling steps, eliminates only what a step
+adds (`_extend`) and stops at the first step that adds nothing.  The dual is the
 F_p-nullspace read off the footprint: v is orthogonal to a u-closed code iff
 the top u-layer of every inner product v . c vanishes, and that layer is the
 F_p dot product of v with c's u-layers reversed inside each coordinate block
@@ -33,6 +35,8 @@ from .linalg import DEFAULT_BUDGET, InvariantError
 
 __all__ = ["CyclicCode", "TorsionTower", "code_from_generators",
            "code_to_json", "code_from_json", "load_code_file"]
+
+DEFER_WIDTH = 64  # most columns kn at which code_from_generators doubles its stack unreduced
 
 
 def _shift_x(vec: np.ndarray, k: int, m: int = 1) -> np.ndarray:
@@ -63,6 +67,28 @@ def _echelon(params: PrimeParams, rows) -> tuple[np.ndarray, list[int]]:
     M = np.asarray(rows, dtype=np.int64).reshape(len(rows), k * n)[:, order]  # one copy
     E, piv = linalg.rref(M, params.p)
     return E.take(inverse, axis=1), order[piv].tolist()  # C order: CyclicCode keeps it uncopied
+
+
+def _extend(params: PrimeParams, E: np.ndarray, piv: list[int],
+            X: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """`_echelon` of the stacked rows [E; X], for (E, piv) an `_echelon` result.
+
+    X is reduced against E by one product, whatever the column order, since
+    E's pivot columns are unit vectors.  Only the nonzero remainder is
+    eliminated, and E is cleared at the new pivots by one more product; E's
+    rows keep their leading entries, because a new pivot row is zero before
+    its pivot.  The rows are merged by their pivots' places in visit order.
+    """
+    p = params.p
+    Y = (X - linalg.mul(X[:, piv], E)) % p
+    Y = Y[Y.any(axis=1)]
+    if not len(Y):
+        return E, piv
+    E2, piv2 = _echelon(params, Y)
+    E = (E - linalg.mul(E[:, piv2], E2)) % p
+    pivots = np.array(piv + piv2)
+    merge = np.argsort(_visit_order(params.k, params.n)[1][pivots])
+    return np.concatenate([E, E2]).take(merge, axis=0), pivots[merge].tolist()
 
 
 @functools.cache
@@ -237,11 +263,11 @@ class CyclicCode:
     def is_self_dual(self) -> bool:
         """C = C^perp without building the dual: R_k is Frobenius, so dim C^perp
         = kn - dim C, and by the argument of `dual` C lies in C^perp iff
-        F . F[:, rev]^T = 0 over F_p (its int64 entries stay below kn p^2 <
-        2^41); equal dimensions make it equality."""
+        F . F[:, rev]^T = 0 over F_p (`linalg.mul`); equal dimensions make it
+        equality."""
         k, n, F = self.params.k, self.params.n, self.footprint
         return (2 * self.dim == k * n
-                and not (F @ F[:, _layer_reversal(n, k)].T % self.params.p).any())
+                and not (linalg.mul(F, F[:, _layer_reversal(n, k)].T) % self.params.p).any())
 
     # -- distance ----------------------------------------------------------
 
@@ -281,11 +307,13 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
     """The ideal generated by the given polynomials, reduced mod x^n - 1.
 
     The footprint spans {x^i * u^j * g : i < n, j < k, g in gens}.  It is
-    built by doubling: if the rows span the x^i-multiples for i < m, then they
-    and their rotations by m coordinate blocks span those for i < 2m.  The
-    stack is reduced (`_echelon`) whenever it has more rows than columns,
-    which keeps it small; the footprint is the last step's echelon form, or
-    that of the stack when the last step left it unreduced.
+    built by doubling: if the rows span V_m, the x^i-multiples for i < m,
+    then they and their rotations by m coordinate blocks span V_2m.  Up to
+    DEFER_WIDTH columns the stack is doubled unreduced while it has at most
+    kn rows; then it is eliminated once (`_echelon`), and each later step
+    inserts the rotated echelon form into it (`_extend`).  The loop stops at
+    the first step that adds no pivot: V_2m = V_m means x^m V_m lies in V_m,
+    so x^2m V_m lies in x^m V_m and in V_m, and no later step can grow it.
     """
     k, n = params.k, params.n
     reduced = []
@@ -294,16 +322,17 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
             raise ValueError("parameter mismatch among generators")
         reduced.append(g.mod_xn())
     rows = _u_multiples(linalg.as_matrix([g.to_vector() for g in reduced], k * n, params.p), n, k)
-    echelon = None  # (R, pivots) of the stack while the stack is that R
     m = 1
-    while m < n and len(rows):  # an empty stack stays empty when doubled
+    while m < n and len(rows) <= k * n <= DEFER_WIDTH:
         rows, m = np.concatenate([rows, _shift_x(rows, k, m)]), 2 * m
-        echelon = _echelon(params, rows) if len(rows) > k * n else None
-        if echelon is not None:
-            rows = echelon[0]
-    if echelon is None:
-        echelon = _echelon(params, rows)
-    code = CyclicCode(params, reduced, *echelon)
+    E, piv = _echelon(params, rows)
+    while m < n:
+        dim = len(piv)
+        E, piv = _extend(params, E, piv, _shift_x(E, k, m))
+        m *= 2
+        if len(piv) == dim:
+            break
+    code = CyclicCode(params, reduced, E, piv)
     code._assert_closed()
     return code
 

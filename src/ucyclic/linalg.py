@@ -32,6 +32,17 @@ def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p
 
 
+def mul(A, B) -> np.ndarray:
+    """The integer product A @ B, computed in float64 (BLAS) and returned as int64.
+
+    It is exact for the F_p matrices of this package: with entries in [0, p),
+    p <= 2^16, and an inner dimension of at most kn <= 512, each term is below
+    2^32 and every partial sum below 2^41 < 2^53, so no float64 sum rounds,
+    in whatever order BLAS adds the terms.
+    """
+    return (np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)).astype(np.int64)
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p.
 
@@ -39,26 +50,29 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     columns cleared above and below, pivots ascending, R an int64 array.  R
     is the canonical form of the row space.
 
-    A pivot step takes the largest entry of its column at or below row r,
-    scales the row only when that entry is not 1, and touches only the rows
-    with an entry in the column, from that column on.  For p = 2 each row is
-    packed into a Python int, column c at bit ncols-1-c, so a row's leading
-    bit is its pivot column.  The rows are inserted one at a time into an
-    echelon basis keyed by leading bit: while a new row has a bit in the
-    mask of leading bits, the basis row at the highest such bit is XORed
-    in, and what is left, if anything, joins the basis.  Then each basis
-    row, lowest leading bit first, is cleared at the other leading bits by
-    XORing in the rows already final, and the basis is unpacked once, in
-    ascending pivot order.
+    Only the columns that hold an entry are visited, since a row step never
+    fills a column that is zero in every row; the remainder of rows inserted
+    into an echelon form, for one, is zero on all of that form's pivot
+    columns.  A pivot step takes the largest entry of its column at or below
+    row r, scales the row only when that entry is not 1, and touches only
+    the rows with an entry in the column, from that column on.  For p = 2
+    each row is packed into a Python int, column c at bit ncols-1-c, so a
+    row's leading bit is its pivot column.  The rows are inserted one at a
+    time into an echelon basis keyed by leading bit: while a new row has a
+    bit in the mask of leading bits, the basis row at the highest such bit
+    is XORed in, and what is left, if anything, joins the basis.  Then each
+    basis row, lowest leading bit first, is cleared at the other leading
+    bits by XORing in the rows already final, and the basis is unpacked
+    once, in ascending pivot order.
     """
     M = np.array(mat, dtype=np.int64)
     M %= p
     if p == 2:
         return _rref_binary(M)
-    nrows, ncols = M.shape
+    nrows = len(M)
     r = 0
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in np.flatnonzero(M.any(axis=0)).tolist():
         if r == nrows:
             break
         col = M[:, c]
@@ -124,11 +138,7 @@ def reduce_vector(R: np.ndarray, pivots, v, p: int) -> np.ndarray:
     if len(pivots) == 0:
         return v
     # the pivot columns of R are unit vectors, so they reduce to zero
-    free = np.ones(v.shape[-1], dtype=bool)
-    free[list(pivots)] = False
-    res = np.zeros_like(v)
-    res[..., free] = (v[..., free] - v[..., list(pivots)] @ R[:, free]) % p
-    return res
+    return (v - mul(v[..., list(pivots)], R)) % p
 
 
 def nullspace(R: np.ndarray, pivots, p: int) -> np.ndarray:

@@ -299,13 +299,14 @@ class TestSingleEchelon:
         return calls
 
     @pytest.mark.parametrize("run, count", [
-        (lambda: edge_code(64, seed=5), 2),
+        (lambda: edge_code(64, seed=5), 6),
         (lambda: main(["analyze", "--p", "3", "--k", "2", "--n", "5", "--gen", "x+2; 1"]), 1)],
         ids=["edge-code-64", "analyze"])
     def test_every_rref_is_an_echelon_form(self, monkeypatch, capsys, run, count):
         # code_from_generators reduces its doubling stack in the footprint's
-        # column order too; the analyzed code's last doubling step reduces the
-        # stack, and that echelon form is its footprint
+        # column order too: the edge code (kn = 512) eliminates its stack once
+        # and each of the five steps that add pivots eliminates its remainder;
+        # the analyzed code (kn = 10) doubles unreduced up to one elimination
         rrefs, echelons = self._count_rref(monkeypatch), self._count_echelon(monkeypatch)
         run()
         assert len(echelons) == count
@@ -504,6 +505,98 @@ class TestDual:
             pp = PrimeParams(rng.choice([2, 3, 5]), rng.randint(1, 4), rng.randint(1, 8))
             dual = random_subcode(rng, pp).dual()
             assert code_from_json(code_to_json(dual)) == dual
+
+
+def every_step_footprint(params, gens):
+    """The footprint built with every doubling step, none skipped (reference
+    only): the u-multiples of the generators eliminated once, then each of
+    the ceil(log2 n) steps inserting the rotated echelon form."""
+    k, n = params.k, params.n
+    E, piv = ucyclic.code._echelon(params, ucyclic.code._u_multiples(
+        np.array([g.mod_xn().to_vector() for g in gens], dtype=np.int64), n, k))
+    m = 1
+    while m < n:
+        E, piv = ucyclic.code._extend(params, E, piv, ucyclic.code._shift_x(E, k, m))
+        m *= 2
+    return E, piv
+
+
+class TestExtend:
+    @staticmethod
+    def _check(params, E, piv, X):
+        F, fpiv = ucyclic.code._extend(params, E, piv, X)
+        F0, fpiv0 = ucyclic.code._echelon(params, np.concatenate([E, X]))
+        assert fpiv == fpiv0
+        assert np.array_equal(F, F0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+    def test_matches_echelon_of_the_stack(self, p):
+        # X mixes combinations of E's rows (their remainder is zero) with rows
+        # of a random low-rank space, so remainders of every rank occur
+        rng = np.random.default_rng(p)
+        for trial in range(12):
+            k, n = int(rng.integers(1, 9)), 64 if trial < 2 else int(rng.integers(1, 65))
+            params, kn = PrimeParams(p, k, n), k * n
+            stack = rng.integers(0, p, (rng.integers(min(kn, 60) + 1), kn))
+            E, piv = ucyclic.code._echelon(params, stack)
+            rows, new = rng.integers(1, 41), rng.integers(0, p, (rng.integers(5), kn))
+            X = rng.integers(0, p, (rows, len(E))) @ E + rng.integers(0, p, (rows, len(new))) @ new
+            self._check(params, E, piv, X % p)
+
+    def test_at_the_float64_bound(self):
+        # p = 65521 at kn = 512, rows with every entry p - 1: the reducing
+        # product sums hundreds of terms near 2^32
+        p, rng = 65521, np.random.default_rng(61)
+        params = PrimeParams(p, 8, 64)
+        E, piv = ucyclic.code._echelon(params, rng.integers(0, p, (300, 512)))
+        full = np.full((3, 512), p - 1, dtype=np.int64)
+        self._check(params, E, piv, full)
+        F, fpiv = ucyclic.code._echelon(params, full)
+        self._check(params, F, fpiv, full)
+        self._check(params, F, fpiv, (p - 1) * rng.integers(0, 2, (200, 512)))
+
+
+class TestDoublingStops:
+    @staticmethod
+    def _count_extend(monkeypatch):
+        calls = []
+        real = ucyclic.code._extend
+
+        def counting(params, E, piv, X):
+            calls.append(len(piv))
+            return real(params, E, piv, X)
+        monkeypatch.setattr(ucyclic.code, "_extend", counting)
+        return calls
+
+    def test_first_step_adding_nothing_ends_the_loop(self, monkeypatch):
+        # x (1 + x + ... + x^(n-1)) is that same polynomial, so the u-multiples
+        # of the generator already span the code and the first step adds nothing
+        pp = PrimeParams(5, 4, 32)
+        assert pp.k * pp.n > ucyclic.code.DEFER_WIDTH  # the stack is eliminated at once
+        g = gen(FpPoly([1] * pp.n, 5), pp)
+        calls = self._count_extend(monkeypatch)
+        code = code_from_generators(pp, [g])
+        assert calls == [pp.k]
+        monkeypatch.undo()
+        F, piv = every_step_footprint(pp, [g])
+        assert np.array_equal(code.footprint, F) and code.pivots == piv
+
+    def test_stops_after_the_first_step_adding_nothing(self, monkeypatch):
+        # every step but the last grows the echelon form, and the last adds
+        # nothing unless it is the last of the schedule: with the stack
+        # eliminated at once (kn > DEFER_WIDTH), m = 1, 2, 4, ... while m < n
+        rng = random.Random(71)
+        for _ in range(30):
+            pp = PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(3, 8), rng.randint(9, 64))
+            calls = self._count_extend(monkeypatch)
+            code = random_subcode(rng, pp)
+            monkeypatch.undo()
+            steps = calls + [code.dim]
+            assert all(a < b for a, b in zip(steps[:-2], steps[1:-1]))
+            if pp.k * pp.n > ucyclic.code.DEFER_WIDTH:
+                assert len(calls) == (pp.n - 1).bit_length() or steps[-2] == steps[-1]
+            F, piv = every_step_footprint(pp, list(code.generators))
+            assert np.array_equal(code.footprint, F) and code.pivots == piv
 
 
 class TestMinDistance:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ucyclic import linalg
-from ucyclic.linalg import BudgetError, min_nonzero_weight, nullspace, rref
+from ucyclic.linalg import BudgetError, min_nonzero_weight, mul, nullspace, reduce_vector, rref
 
 
 def random_matrix(rng, p, nrows, ncols, rank=None):
@@ -85,9 +85,11 @@ class TestRref:
         row = random_matrix(rng, p, 1, 9)
         dependent = random_matrix(rng, p, 3, 9)
         dependent = np.vstack([dependent, (2 * dependent[0] + dependent[2]) % p])
+        zero_columns = random_matrix(rng, p, 8, 30, rank=5)
+        zero_columns[:, rng.sample(range(30), 12)] = 0
         for M in [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
                   np.zeros((0, 0), dtype=np.int64), np.zeros((3, 9), dtype=np.int64),
-                  np.vstack([row, row, row]), dependent,
+                  np.vstack([row, row, row]), dependent, zero_columns,
                   random_matrix(rng, p, 20, 6), random_matrix(rng, p, 20, 6, rank=3)]:
             self.check(M, p)
 
@@ -127,6 +129,44 @@ class TestNullspace:
         # x + 2y + 3z = 0 over F_5: free columns y, z give (-2, 1, 0), (-3, 0, 1)
         N = nullspace(*rref([[1, 2, 3]], 5), 5)
         assert N.tolist() == [[3, 1, 0], [2, 0, 1]]
+
+
+class TestMul:
+    def test_exact_at_the_bound(self):
+        # every entry p - 1 at inner dimension kn = 512: each sum is 512 (p - 1)^2,
+        # above 2^40 and still exact in float64
+        p = 65521  # the largest prime below 2^16
+        A = np.full((3, 512), p - 1, dtype=np.int64)
+        B = np.full((512, 4), p - 1, dtype=np.int64)
+        exact = (A.astype(object) @ B.astype(object)).tolist()
+        assert exact[0][0] == 512 * (p - 1) ** 2 > 1 << 40
+        assert mul(A, B).dtype == np.int64
+        assert mul(A, B).tolist() == exact
+
+    @pytest.mark.parametrize("p", RREF_PRIMES)
+    def test_random_matches_python_ints(self, p):
+        rng = random.Random(f"mul:{p}")
+        for inner in [0, 1, 7, 512]:
+            A, B = random_matrix(rng, p, 5, inner), random_matrix(rng, p, inner, 6)
+            assert mul(A, B).tolist() == (A.astype(object) @ B.astype(object)).tolist()
+        v = random_matrix(rng, p, 1, 9)[0]
+        assert mul(v, random_matrix(rng, p, 9, 4)).shape == (4,)
+
+
+class TestReduceVector:
+    @pytest.mark.parametrize("p", RREF_PRIMES)
+    def test_residual(self, p):
+        # zero exactly on the row space; v minus its residual lies in it
+        rng = random.Random(f"reduce:{p}")
+        for ncols in [1, 9, 64, 512]:
+            R, pivots = rref(random_matrix(rng, p, 20, ncols, rank=rng.randint(0, 10)), p)
+            inside = random_matrix(rng, p, 3, len(R)) @ R % p
+            assert not reduce_vector(R, pivots, inside, p).any()
+            v = random_matrix(rng, p, 4, ncols)
+            res = reduce_vector(R, pivots, v, p)
+            assert not res[:, pivots].any()
+            assert len(rref(np.vstack([R, (v - res) % p]), p)[1]) == len(R)
+            assert np.array_equal(reduce_vector(R, pivots, v[0], p), res[0])
 
 
 def naive_min_weight(basis, p, group):
