@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -174,6 +175,25 @@ def build_report(code: CyclicCode, distance_mode: str = "auto",
     }
 
 
+def _dumps_report(rep: dict) -> str:
+    """`json.dumps(rep, indent=2)`, with the digit lists of the code's
+    generators filled into one format template, once per generator.
+
+    An indent makes `json` take its pure-Python encoder, which would visit
+    every one of those k*n digits per generator.  The template's indents are
+    those of the lists' depth in the report: rep["code"]["generators"].
+    """
+    code = rep["code"]
+    if not code["generators"]:
+        return json.dumps(rep, indent=2)
+    digits = "        [\n" + ",\n".join(["          %d"] * code["k"]) + "\n        ]"
+    template = "      [\n" + ",\n".join([digits] * code["n"]) + "\n      ]"
+    gens = ",\n".join(template % tuple(itertools.chain.from_iterable(g))
+                      for g in code["generators"])
+    text = json.dumps({**rep, "code": {**code, "generators": "\0"}}, indent=2)
+    return text.replace('"\\u0000"', "[\n" + gens + "\n    ]", 1)
+
+
 def _print_report_text(rep: dict, out):
     print(f"code over R_{rep['k']} (p={rep['p']}), length {rep['n']}", file=out)
     print("tower: " + " | ".join(t["string"] for t in rep["tower"]), file=out)
@@ -233,7 +253,7 @@ def cmd_analyze(args) -> int:
     code = _load_analyze_code(args)
     rep = build_report(code, args.distance_mode, args.budget)
     if args.format == "json":
-        print(json.dumps(rep, indent=2))
+        print(_dumps_report(rep))
     else:
         _print_report_text(rep, sys.stdout)
     return 0

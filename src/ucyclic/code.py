@@ -11,9 +11,15 @@ columns layer-major, highest degree first.  That order proves the structure
 read off the footprint: the last row pivoting in layer i is the canonical
 lifted generator of level i, and its layer i is the torsion generator g_i
 (`CyclicCode.level_generators`, `CyclicCode.torsion_tower`), with no further
-elimination and no check beyond the tower's own.  `code_from_generators`
-keeps its echelon form between doubling steps, eliminates only what a step
-adds (`_extend`) and stops at the first step that adds nothing.  The dual is the
+elimination and no check beyond the tower's own.  When gcd(n, p) = 1,
+`code_from_generators` runs no elimination at all: x^n - 1 is squarefree,
+so by the CRT the torsion generators are a chain of gcds of the generators'
+layers, the code is the direct sum of u^j <g_j> over F_p (Dinh and
+Lopez-Permouth, IEEE-IT 2004), and its footprint is written down from that
+tower, one remainder table x^e mod g_j per distinct g_j (`_tabulate`).
+When p | n it doubles (`_eliminate`): it keeps its echelon form between
+steps, eliminates only what a step adds (`_extend`) and stops at the first
+step that adds nothing.  The dual is the
 F_p-nullspace read off the footprint: v is orthogonal to a u-closed code iff
 the top u-layer of every inner product v . c vanishes, and that layer is the
 F_p dot product of v with c's u-layers reversed inside each coordinate block
@@ -30,13 +36,13 @@ import numpy as np
 
 from . import linalg
 from .chainring import RkPoly
-from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight
+from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight, poly_gcd
 from .linalg import DEFAULT_BUDGET, InvariantError
 
 __all__ = ["CyclicCode", "TorsionTower", "code_from_generators",
            "code_to_json", "code_from_json", "load_code_file"]
 
-DEFER_WIDTH = 64  # most columns kn at which code_from_generators doubles its stack unreduced
+DEFER_WIDTH = 64  # most columns kn at which _eliminate doubles its stack unreduced
 
 
 def _shift_x(vec: np.ndarray, k: int, m: int = 1) -> np.ndarray:
@@ -306,21 +312,39 @@ class CyclicCode:
 def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
     """The ideal generated by the given polynomials, reduced mod x^n - 1.
 
-    The footprint spans {x^i * u^j * g : i < n, j < k, g in gens}.  It is
-    built by doubling: if the rows span V_m, the x^i-multiples for i < m,
-    then they and their rotations by m coordinate blocks span V_2m.  Up to
-    DEFER_WIDTH columns the stack is doubled unreduced while it has at most
-    kn rows; then it is eliminated once (`_echelon`), and each later step
-    inserts the rotated echelon form into it (`_extend`).  The loop stops at
-    the first step that adds no pivot: V_2m = V_m means x^m V_m lies in V_m,
-    so x^2m V_m lies in x^m V_m and in V_m, and no later step can grow it.
+    The footprint spans {x^i * u^j * g : i < n, j < k, g in gens}.  When
+    gcd(n, p) = 1 it is written down from the torsion tower (`_tabulate`),
+    with no elimination; otherwise it is built by doubling (`_eliminate`).
+    Either way the closure under x and u is checked.
     """
-    k, n = params.k, params.n
+    return _generated(params, gens, _tabulate if params.coprime else _eliminate)
+
+
+def _generated(params: PrimeParams, gens, build) -> CyclicCode:
+    # the code of the generators reduced mod x^n - 1, with the footprint
+    # build(params, reduced) and its closure checked
     reduced = []
     for g in gens:
         if g.params != params:
             raise ValueError("parameter mismatch among generators")
         reduced.append(g.mod_xn())
+    code = CyclicCode(params, reduced, *build(params, reduced))
+    code._assert_closed()
+    return code
+
+
+def _eliminate(params: PrimeParams, reduced) -> tuple[np.ndarray, list[int]]:
+    """`_echelon` of {x^i * u^j * g : i < n, j < k, g in reduced}, by doubling.
+
+    If the rows span V_m, the x^i-multiples for i < m, then they and their
+    rotations by m coordinate blocks span V_2m.  Up to DEFER_WIDTH columns
+    the stack is doubled unreduced while it has at most kn rows; then it is
+    eliminated once (`_echelon`), and each later step inserts the rotated
+    echelon form into it (`_extend`).  The loop stops at the first step that
+    adds no pivot: V_2m = V_m means x^m V_m lies in V_m, so x^2m V_m lies in
+    x^m V_m and in V_m, and no later step can grow it.
+    """
+    k, n = params.k, params.n
     rows = _u_multiples(linalg.as_matrix([g.to_vector() for g in reduced], k * n, params.p), n, k)
     m = 1
     while m < n and len(rows) <= k * n <= DEFER_WIDTH:
@@ -332,9 +356,65 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
         m *= 2
         if len(piv) == dim:
             break
-    code = CyclicCode(params, reduced, E, piv)
-    code._assert_closed()
-    return code
+    return E, piv
+
+
+def _tabulate(params: PrimeParams, reduced) -> tuple[np.ndarray, list[int]]:
+    """`_eliminate`'s result when gcd(n, p) = 1, written down from the tower.
+
+    Then x^n - 1 is squarefree, and R_k[x]/(x^n - 1) is the product of the
+    chain rings F_p[x]/(f)[u]/(u^k) over its irreducible factors f (CRT).
+    There a generator a = sum u^l a_l has u-valuation the least l with
+    f not dividing a_l, and the ideal is generated by u to the least such
+    valuation over the generators.  So f divides the torsion generator g_i
+    iff it divides every layer a_l, l <= i, of every generator:
+
+        g_i = gcd(x^n - 1, a_l for l <= i, every a) = gcd(g_(i-1), layer i),
+
+    a chain of gcds that skips zero layers and stops at g = 1.  The code is
+    then the direct sum of u^j <g_j> over F_p (Dinh and Lopez-Permouth,
+    IEEE Trans. Inform. Theory 50 (2004)).  In `_echelon`'s visit order its
+    reduced echelon form is block-diagonal by layer: layer j holds the rows
+    x^e - (x^e mod g_j) for e = n - 1 down to deg g_j.  Row e has its pivot
+    at degree e and its other entries below degree deg g_j, where the layer
+    has no pivot, so the rows are already reduced; and the reduced echelon
+    form for a fixed column order is unique.
+    """
+    p, k, n = params.p, params.k, params.n
+    g, above, blocks = FpPoly.xn_minus_1(n, p), None, []
+    for j in range(k):
+        for a in reduced:
+            if g.degree == 0:
+                break
+            if a.ulayers[j]:
+                g = poly_gcd(g, a.ulayers[j])
+        if g != above:
+            block, above = _remainder_rows(g, n, p), g
+        blocks.append(block)
+    F = np.zeros((sum(len(b) for b in blocks), k * n), dtype=np.int64)
+    pivots = []
+    for j, block in enumerate(blocks):
+        F[len(pivots):len(pivots) + len(block), j::k] = block
+        pivots += range((n - 1) * k + j, (n - 1 - len(block)) * k + j, -k)
+    return F, pivots
+
+
+def _remainder_rows(g: FpPoly, n: int, p: int) -> np.ndarray:
+    # x^e - (x^e mod g) for e = n - 1 down to deg g, the rows of an
+    # (n - deg g) x n array: <g>'s reduced echelon form in `_echelon`'s order
+    d = g.degree
+    B = np.zeros((n - d, n), dtype=np.int64)
+    B[np.arange(n - d), np.arange(n - 1, d - 1, -1)] = 1
+    if 0 < d < n:
+        low = [-c % p for c in g.coeffs[:d]]  # x^d mod g
+        rems, r = [], low
+        for _ in range(d, n):
+            rems.append(r)
+            c, r = r[-1], [0] + r[:-1]
+            if c:
+                r = [(a + c * b) % p for a, b in zip(r, low)]
+        B[:, :d] = -np.array(rems[::-1], dtype=np.int64) % p
+    return B
 
 
 def _validate_digits(entry, k: int, p: int) -> list[int]:

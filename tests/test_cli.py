@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,11 @@ from ucyclic.cli import (build_report, format_fp_poly, format_rk_poly, main,
                          parse_budget, parse_fp_poly, parse_rk_poly)
 from ucyclic.code import (CyclicCode, code_from_generators, code_from_json_dict,
                           code_to_json)
-from ucyclic.gfp import FpPoly, PrimeParams
+from ucyclic.gfp import FpPoly, PrimeParams, factor_xn_minus_1
 from ucyclic.linalg import DEFAULT_BUDGET, InvariantError
 from ucyclic.properties import chain_code
+
+from test_structure import mixed_tower_code
 
 
 def run_cli(args, capsys):
@@ -343,6 +346,51 @@ class TestAnalyzeCommand:
         assert built == []
         assert not any(in_canonical)
         assert len(read) == 1 and read[0] is fresh
+
+
+def small_top_chain(rng, pp, top_dim):
+    """A random divisor chain g_(k-1) | ... | g_0 of x^n - 1 whose top torsion
+    code <g_(k-1)> has dimension between 1 and top_dim, so its distance is cheap."""
+    facs = factor_xn_minus_1(pp)
+    rng.shuffle(facs)
+    exps = []
+    while not any(exps):  # the exponents of the factors of (x^n - 1) / g_(k-1)
+        exps, room = [], top_dim
+        for q, e in facs:
+            exps.append(rng.randint(0, min(e, room // q.degree)))
+            room -= exps[-1] * q.degree
+    start = [rng.randrange(pp.k) for _ in facs]  # the level each one starts at
+    chain = []
+    for i in range(pp.k):
+        g = FpPoly.one(pp.p)
+        for (q, e), t, s in zip(facs, exps, start):
+            g = g * q ** (e - t if i >= s else e)
+        chain.append(g)
+    return chain
+
+
+class TestJsonReport:
+    def test_writer_matches_json_dumps(self):
+        # reports across the envelope (p | n included, up to p = 3, k = 8,
+        # n = 64), the zero code and codes built from rows, which have no
+        # generators and print their footprint rows instead
+        rng = random.Random(89)
+        top = {2: 12, 3: 8, 5: 5, 7: 4}
+        params = [PrimeParams(3, 8, 64), PrimeParams(2, 8, 63), PrimeParams(2, 4, 48),
+                  PrimeParams(5, 1, 1), PrimeParams(7, 3, 14)]
+        params += [PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(1, 8), rng.randint(1, 64))
+                   for _ in range(6)]
+        codes = [code_from_generators(params[0], [])]
+        for pp in params:
+            code = mixed_tower_code(pp, small_top_chain(rng, pp, top[pp.p]), rng)
+            codes += [code, CyclicCode.from_rows(pp, code.footprint)]
+        pp = PrimeParams(3, 2, 6)
+        small = code_from_generators(pp, [parse_rk_poly("x+2; 1", pp)])
+        codes += [small.dual(), CyclicCode.from_rows(pp, small.footprint[:0])]
+        assert any(not c.generators and c.dim for c in codes)
+        for code in codes:
+            rep = build_report(code)
+            assert cli._dumps_report(rep) == json.dumps(rep, indent=2), code
 
 
 class TestEnumerateCommand:

@@ -14,7 +14,7 @@ from ucyclic.chainring import RkElem, RkPoly
 from ucyclic.cli import main
 from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
-from ucyclic.gfp import BudgetError, FpPoly, PrimeParams
+from ucyclic.gfp import BudgetError, FpPoly, PrimeParams, factor_xn_minus_1
 from ucyclic.linalg import InvariantError
 from ucyclic.properties import chain_code, random_chain, random_code, random_params
 from ucyclic.structure import enumerate_coprime
@@ -299,14 +299,17 @@ class TestSingleEchelon:
         return calls
 
     @pytest.mark.parametrize("run, count", [
-        (lambda: edge_code(64, seed=5), 6),
-        (lambda: main(["analyze", "--p", "3", "--k", "2", "--n", "5", "--gen", "x+2; 1"]), 1)],
-        ids=["edge-code-64", "analyze"])
+        (lambda: edge_code(64, seed=5), 0),
+        (lambda: ucyclic.code._eliminate(PrimeParams(3, 8, 64),
+                                         list(edge_code(64, seed=5).generators)), 6),
+        (lambda: main(["analyze", "--p", "3", "--k", "2", "--n", "6", "--gen", "x+2; 1"]), 1)],
+        ids=["edge-code-64", "edge-code-64-eliminated", "analyze"])
     def test_every_rref_is_an_echelon_form(self, monkeypatch, capsys, run, count):
-        # code_from_generators reduces its doubling stack in the footprint's
-        # column order too: the edge code (kn = 512) eliminates its stack once
-        # and each of the five steps that add pivots eliminates its remainder;
-        # the analyzed code (kn = 10) doubles unreduced up to one elimination
+        # the doubling loop reduces its stack in the footprint's column order
+        # too: eliminating the edge code (kn = 512) reduces its stack once and
+        # the remainder of each of the five steps that add pivots; the analyzed
+        # code (p | n, kn = 12) doubles unreduced up to one elimination.  The
+        # coprime edge code is written down from its tower with none.
         rrefs, echelons = self._count_rref(monkeypatch), self._count_echelon(monkeypatch)
         run()
         assert len(echelons) == count
@@ -575,11 +578,11 @@ class TestDoublingStops:
         assert pp.k * pp.n > ucyclic.code.DEFER_WIDTH  # the stack is eliminated at once
         g = gen(FpPoly([1] * pp.n, 5), pp)
         calls = self._count_extend(monkeypatch)
-        code = code_from_generators(pp, [g])
+        E, epiv = ucyclic.code._eliminate(pp, [g])
         assert calls == [pp.k]
         monkeypatch.undo()
         F, piv = every_step_footprint(pp, [g])
-        assert np.array_equal(code.footprint, F) and code.pivots == piv
+        assert np.array_equal(E, F) and epiv == piv
 
     def test_stops_after_the_first_step_adding_nothing(self, monkeypatch):
         # every step but the last grows the echelon form, and the last adds
@@ -588,16 +591,107 @@ class TestDoublingStops:
         rng = random.Random(71)
         for _ in range(30):
             pp = PrimeParams(rng.choice([2, 3, 5, 7]), rng.randint(3, 8), rng.randint(9, 64))
+            gens = list(random_subcode(rng, pp).generators)
             calls = self._count_extend(monkeypatch)
-            code = random_subcode(rng, pp)
+            E, epiv = ucyclic.code._eliminate(pp, gens)
             monkeypatch.undo()
-            steps = calls + [code.dim]
+            steps = calls + [len(epiv)]
             assert all(a < b for a, b in zip(steps[:-2], steps[1:-1]))
             if pp.k * pp.n > ucyclic.code.DEFER_WIDTH:
                 assert len(calls) == (pp.n - 1).bit_length() or steps[-2] == steps[-1]
-            F, piv = every_step_footprint(pp, list(code.generators))
-            assert np.array_equal(code.footprint, F) and code.pivots == piv
+            F, piv = every_step_footprint(pp, gens)
+            assert np.array_equal(E, F) and epiv == piv
 
+
+
+def random_divisor(rng, pp):
+    """A random monic divisor of x^n - 1: each irreducible factor to a random power."""
+    g = FpPoly.one(pp.p)
+    for q, e in factor_xn_minus_1(pp):
+        g = g * q ** rng.randint(0, e)
+    return g
+
+
+def random_layered_generators(rng, pp):
+    """0-3 generators whose layers are each zero, 1, random, or (mostly) a
+    random multiple of a random divisor of x^n - 1, so the gcd chain skips
+    zero layers, reaches 1, and meets factors that only some layers share."""
+    p, n = pp.p, pp.n
+    gens = []
+    for _ in range(rng.choice([0, 1, 1, 1, 2, 2, 3])):
+        layers = []
+        for _ in range(pp.k):
+            kind = rng.randrange(10)
+            if kind < 3:
+                layers.append(FpPoly.zero(p))
+            elif kind == 3:
+                layers.append(FpPoly.one(p))
+            elif kind == 4:
+                layers.append(FpPoly([rng.randrange(p) for _ in range(n)], p))
+            else:
+                cofactor = FpPoly([rng.randrange(p) for _ in range(3)], p)
+                layers.append((random_divisor(rng, pp) * cofactor).mod_xn_minus_1(n))
+        gens.append(RkPoly(layers, pp))
+    return gens
+
+
+class TestTabulate:
+    """When gcd(n, p) = 1, `code_from_generators` writes the footprint down
+    from the gcd tower (`code._tabulate`); `code._eliminate` is the reference."""
+
+    @staticmethod
+    def _check(pp, gens):
+        code = code_from_generators(pp, gens)
+        E, piv = ucyclic.code._eliminate(pp, list(code.generators))
+        assert code.pivots == piv, (pp, [g.to_vector() for g in gens])
+        assert np.array_equal(code.footprint, E), (pp, [g.to_vector() for g in gens])
+        return code
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+    def test_matches_elimination(self, p):
+        rng = random.Random(p)
+        lengths = [n for n in range(1, 65) if n % p]
+        for trial in range(40):
+            n = 64 if p == 3 and trial < 2 else rng.choice(lengths[:12] if trial % 2 else lengths)
+            pp = PrimeParams(p, 8 if n == 64 and p == 3 else rng.randint(1, 8), n)
+            self._check(pp, random_layered_generators(rng, pp))
+
+    @pytest.mark.parametrize("pp", [PrimeParams(2, 3, 1), PrimeParams(3, 8, 64),
+                                    PrimeParams(65521, 2, 5)], ids=str)
+    def test_no_generators_and_the_generator_one(self, pp):
+        assert self._check(pp, []).dim == 0
+        zero = RkPoly.zero(pp)
+        assert self._check(pp, [zero, zero]).dim == 0
+        # g = 1 at every level: one remainder table, of degree 0, in every layer
+        whole = self._check(pp, [RkPoly.one(pp)])
+        assert whole.dim == pp.k * pp.n
+        assert whole.torsion_tower().degrees == (0,) * pp.k
+        assert self._check(pp, [gen(FpPoly.one(pp.p), pp, level=pp.k - 1)]).dim == pp.n
+
+    def test_layers_sharing_a_factor_only_at_higher_levels(self):
+        # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1) over F_2.  Layer 1 alone
+        # has gcd (x + 1)(x^3 + x^2 + 1) with x^7 - 1; with layer 0 it is x + 1
+        pp = PrimeParams(2, 4, 7)
+        a, b, c = FpPoly([1, 1], 2), FpPoly([1, 1, 0, 1], 2), FpPoly([1, 0, 1, 1], 2)
+        code = self._check(pp, [RkPoly([a * b, a * c, FpPoly.zero(2), c], pp)])
+        assert code.torsion_tower().gens == (a * b, a, a, FpPoly.one(2))
+        # two generators whose layer-0 gcd is larger than either layer 1
+        code = self._check(pp, [RkPoly([a * b * c, b], pp), RkPoly([a * b, c], pp)])
+        assert code.torsion_tower().gens == (a * b, FpPoly.one(2), FpPoly.one(2),
+                                             FpPoly.one(2))
+
+    def test_makes_no_rref_call(self, monkeypatch):
+        def refuse(mat, p):
+            raise AssertionError("rref called on a coprime construction")
+        monkeypatch.setattr(linalg, "rref", refuse)
+        rng = random.Random(83)
+        codes = [edge_code(64, seed=5)]
+        for p in [2, 3, 5, 7, 65521]:
+            pp = PrimeParams(p, rng.randint(1, 8), rng.choice([n for n in range(1, 65) if n % p]))
+            codes.append(code_from_generators(pp, random_layered_generators(rng, pp)))
+        for code in codes:
+            code.torsion_tower()
+            code.level_generators()
 
 class TestMinDistance:
     def test_unit_code(self):
