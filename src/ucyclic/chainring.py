@@ -5,11 +5,20 @@ Everything is stored layer-major: a ring element is its k base-p digits
 u-layer.  Truncation to a subring is then a slice and multiplication by u a
 shift.  An element is a unit exactly when layer 0 is nonzero; polynomial
 division requires the divisor's leading coefficient to be such a unit.
+
+Trusted digits: `RkPoly(ulayers, params)` and `RkPoly.from_vector` accept and
+check anything the public `FpPoly` constructor does.  Arithmetic results are
+built by `RkPoly._of` from exactly k reduced `FpPoly` layers, or by
+`RkPoly._from_digits` from reduced coefficient-major digits (slot i*k + j is
+the u^j digit of the coefficient of x^i, the layout of `to_vector`), with no
+check.  Products accumulate unreduced per layer and reduce each digit once;
+division runs on coefficient-major digit lists and builds no object inside
+its loop.
 """
 
 from __future__ import annotations
 
-from .gfp import FpPoly, PrimeParams
+from .gfp import FpPoly, PrimeParams, _mul_into
 
 __all__ = ["RkElem", "RkPoly"]
 
@@ -79,15 +88,8 @@ class RkElem:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        k, p = self.params.k, self.params.p
-        out = [0] * k
-        for i, a in enumerate(self.layers):
-            if a:
-                for j in range(k - i):
-                    b = other.layers[j]
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % p
-        return RkElem(out, self.params)
+        return RkElem(_rk_mul(self.layers, other.layers, self.params.p, self.params.k),
+                      self.params)
 
     def __rmul__(self, other: int) -> "RkElem":
         return self.scale(other)
@@ -97,19 +99,10 @@ class RkElem:
         return RkElem([(a * c) % p for a in self.layers], self.params)
 
     def inverse(self) -> "RkElem":
-        """Multiplicative inverse, via the finite geometric series in the nilpotent part."""
+        """Multiplicative inverse, solved digit by digit (`_rk_inverse`)."""
         if not self.is_unit:
             raise ValueError("nilpotent element has no inverse")
-        p, k = self.params.p, self.params.k
-        inv0 = pow(self.layers[0], -1, p)
-        # self * inv0 = 1 + t with t nilpotent; (1 + t)^-1 = sum of (-t)^j
-        minus_t = RkElem([0] + [(-c * inv0) % p for c in self.layers[1:]], self.params)
-        acc = RkElem.one(self.params)
-        cur = RkElem.one(self.params)
-        for _ in range(k - 1):
-            cur = cur * minus_t
-            acc = acc + cur
-        return acc.scale(inv0)
+        return RkElem(_rk_inverse(self.layers, self.params.p, self.params.k), self.params)
 
 
 class RkPoly:
@@ -130,22 +123,48 @@ class RkPoly:
         self.params = params
 
     @classmethod
+    def _of(cls, layers, params: PrimeParams) -> "RkPoly":
+        """The polynomial of exactly k FpPoly layers over params.p, unchecked."""
+        f = _new(cls)
+        f.ulayers = tuple(layers)
+        f.params = params
+        return f
+
+    @classmethod
+    def _from_digits(cls, digits, params: PrimeParams) -> "RkPoly":
+        """The polynomial of coefficient-major digits in [0, p), unchecked:
+        digits[i*k + j] is the u^j digit of the coefficient of x^i."""
+        k, p = params.k, params.p
+        return cls._of([FpPoly._of(digits[j::k], p) for j in range(k)], params)
+
+    def _digits(self, length: int) -> list[int]:
+        """Coefficient-major digits of the coefficients of x^0 .. x^(length-1);
+        length must exceed the degree."""
+        k = self.params.k
+        out = [0] * (length * k)
+        for j, l in enumerate(self.ulayers):
+            out[j:len(l.coeffs) * k:k] = l.coeffs
+        return out
+
+    @classmethod
     def zero(cls, params: PrimeParams) -> "RkPoly":
-        return cls((), params)
+        return cls._of((FpPoly.zero(params.p),) * params.k, params)
 
     @classmethod
     def one(cls, params: PrimeParams) -> "RkPoly":
-        return cls((FpPoly.one(params.p),), params)
+        zero = FpPoly.zero(params.p)
+        return cls._of((FpPoly.one(params.p),) + (zero,) * (params.k - 1), params)
 
     @classmethod
     def from_fp(cls, poly: FpPoly, params: PrimeParams, level: int = 0) -> "RkPoly":
         """u^level * poly."""
-        return cls((FpPoly.zero(params.p),) * level + (poly,), params)
-
-    @classmethod
-    def monomial(cls, c: RkElem, e: int) -> "RkPoly":
-        params = c.params
-        return cls([FpPoly.monomial(d, e, params.p) for d in c.layers], params)
+        k = params.k
+        if poly.p != params.p:
+            raise ValueError("modulus mismatch")
+        if level >= k:
+            raise ValueError(f"at most {k} u-layers expected")
+        zero = FpPoly.zero(params.p)
+        return cls._of((zero,) * level + (poly,) + (zero,) * (k - 1 - level), params)
 
     @property
     def degree(self):
@@ -154,7 +173,7 @@ class RkPoly:
 
     @property
     def is_zero(self) -> bool:
-        return all(l.is_zero for l in self.ulayers)
+        return not any(self.ulayers)
 
     def u_valuation(self) -> int:
         """Index of the lowest nonzero u-layer; k for zero."""
@@ -187,13 +206,14 @@ class RkPoly:
 
     def __add__(self, other: "RkPoly") -> "RkPoly":
         self._check(other)
-        return RkPoly([a + b for a, b in zip(self.ulayers, other.ulayers)], self.params)
+        return RkPoly._of([a + b for a, b in zip(self.ulayers, other.ulayers)], self.params)
 
     def __neg__(self) -> "RkPoly":
-        return RkPoly([-l for l in self.ulayers], self.params)
+        return RkPoly._of([-l for l in self.ulayers], self.params)
 
     def __sub__(self, other: "RkPoly") -> "RkPoly":
-        return self + (-other)
+        self._check(other)
+        return RkPoly._of([a - b for a, b in zip(self.ulayers, other.ulayers)], self.params)
 
     def __mul__(self, other):
         if isinstance(other, RkElem):
@@ -201,58 +221,97 @@ class RkPoly:
         if isinstance(other, int):
             return self.scale(RkElem((other,), self.params))
         self._check(other)
-        k = self.params.k
-        out = [FpPoly.zero(self.params.p) for _ in range(k)]
-        for i, a in enumerate(self.ulayers):
-            if not a.is_zero:
+        k, p = self.params.k, self.params.p
+        A = [l.coeffs for l in self.ulayers]
+        B = [l.coeffs for l in other.ulayers]
+        la, lb = max(map(len, A)), max(map(len, B))
+        if not la or not lb:
+            return RkPoly.zero(self.params)
+        # layer i + j collects every product of layers i and j, unreduced
+        out = [[0] * (la + lb - 1) for _ in range(k)]
+        for i, a in enumerate(A):
+            if a:
                 for j in range(k - i):
-                    b = other.ulayers[j]
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-        return RkPoly(out, self.params)
+                    if B[j]:
+                        _mul_into(out[i + j], a, B[j])
+        return RkPoly._of([FpPoly._of([c % p for c in o], p) for o in out], self.params)
 
     def __rmul__(self, other) -> "RkPoly":
         return self * other
 
     def scale(self, c: RkElem) -> "RkPoly":
-        k = self.params.k
-        out = [FpPoly.zero(self.params.p) for _ in range(k)]
+        k, p = self.params.k, self.params.p
+        A = [l.coeffs for l in self.ulayers]
+        out = [[0] * max(map(len, A)) for _ in range(k)]
         for i, d in enumerate(c.layers):
             if d:
                 for j in range(k - i):
-                    l = self.ulayers[j]
-                    if not l.is_zero:
-                        out[i + j] = out[i + j] + l * d
-        return RkPoly(out, self.params)
+                    if A[j]:
+                        o = out[i + j]
+                        o[:len(A[j])] = [s + d * x for s, x in zip(o, A[j])]
+        return RkPoly._of([FpPoly._of([s % p for s in o], p) for o in out], self.params)
 
     def shift_x(self, e: int) -> "RkPoly":
-        return RkPoly([l.shift(e) for l in self.ulayers], self.params)
+        return RkPoly._of([l.shift(e) for l in self.ulayers], self.params)
 
     def mod_xn(self) -> "RkPoly":
         """Reduce every layer modulo x^n - 1."""
         n = self.params.n
-        return RkPoly([l.mod_xn_minus_1(n) for l in self.ulayers], self.params)
+        if all(len(l.coeffs) <= n for l in self.ulayers):
+            return self
+        return RkPoly._of([l.mod_xn_minus_1(n) for l in self.ulayers], self.params)
 
     def mul_mod(self, other: "RkPoly") -> "RkPoly":
         """Product in R_k[x]/(x^n - 1)."""
         return (self * other).mod_xn()
 
+    def _divmod_digits(self, other: "RkPoly") -> tuple[list[int], list[int]]:
+        """Quotient and remainder of the division by other, as reduced
+        coefficient-major digit lists (see `_from_digits`).
+
+        Long division on digits: a step reads the top coefficient c of the
+        remainder (reduced once), takes f = c * lead^-1 (one R_k product,
+        none when the lead is 1) and subtracts f times other, aligned with
+        that coefficient, as the sum of f_s times u^s * other over the digits
+        f_s of f; the rows below stay unreduced until the end.
+        """
+        self._check(other)
+        k, p = self.params.k, self.params.p
+        db = other.degree
+        # the leading coefficient is a unit iff layer 0 reaches the degree
+        if other.is_zero or other.ulayers[0].degree != db:
+            raise ValueError("division requires unit leading coefficient")
+        b = other._digits(db + 1)
+        binv = _rk_inverse(b[db * k:], p, k)
+        if self.degree < db:
+            return [], self._digits(db)
+        top = self.degree
+        # ups[s] holds u^s times the digits of other below its degree
+        ups = [[0] * (db * k) for _ in range(k)]
+        for s, up in enumerate(ups):
+            for t in range(k - s):
+                up[t + s::k] = b[t:db * k:k]
+        rem = self._digits(top + 1)
+        q = [0] * ((top - db + 1) * k)
+        unit = binv == [1] + [0] * (k - 1)
+        for i in range(top, db - 1, -1):
+            lo, hi = (i - db) * k, i * k
+            c = [x % p for x in rem[hi:hi + k]]
+            if not any(c):
+                continue
+            f = c if unit else _rk_mul(c, binv, p, k)
+            q[lo:lo + k] = f
+            part = rem[lo:hi]
+            for fs, up in zip(f, ups):
+                if fs:
+                    part = [r - fs * y for r, y in zip(part, up)]
+            rem[lo:hi] = part
+        return q, [x % p for x in rem[:db * k]]
+
     def __divmod__(self, other: "RkPoly"):
         """Division in R_k[x]; the divisor's leading coefficient must be a unit."""
-        self._check(other)
-        if other.is_zero or not other.lead_coeff().is_unit:
-            raise ValueError("division requires unit leading coefficient")
-        db = other.degree
-        binv = other.lead_coeff().inverse()
-        q = RkPoly.zero(self.params)
-        r = self
-        while not r.is_zero and r.degree >= db:
-            d = r.degree
-            c = r.coefficient(d) * binv
-            step = RkPoly.monomial(c, d - db)
-            q = q + step
-            r = r - step * other
-        return q, r
+        q, r = self._divmod_digits(other)
+        return RkPoly._from_digits(q, self.params), RkPoly._from_digits(r, self.params)
 
     def __floordiv__(self, other: "RkPoly") -> "RkPoly":
         return divmod(self, other)[0]
@@ -262,23 +321,38 @@ class RkPoly:
 
     def divides(self, other: "RkPoly") -> bool:
         """True iff self divides other in R_k[x] (remainder exactly zero)."""
-        return divmod(other, self)[1].is_zero
+        return not any(other._divmod_digits(self)[1])
 
     def to_vector(self) -> list[int]:
         """Flatten to F_p^(kn), coordinate i / layer j in slot i*k + j."""
-        k, n = self.params.k, self.params.n
-        red = self.mod_xn()
-        out = [0] * (k * n)
-        for j, l in enumerate(red.ulayers):
-            for i, c in enumerate(l.coeffs):
-                out[i * k + j] = c
-        return out
+        return self.mod_xn()._digits(self.params.n)
 
     @classmethod
     def from_vector(cls, vec, params: PrimeParams) -> "RkPoly":
-        k, n = params.k, params.n
+        k = params.k
         vec = list(vec)
-        if len(vec) != k * n:
+        if len(vec) != k * params.n:
             raise ValueError("vector length must be k*n")
-        layers = [[vec[i * k + j] for i in range(n)] for j in range(k)]
-        return cls(layers, params)
+        return cls._of([FpPoly(vec[j::k], params.p) for j in range(k)], params)
+
+
+def _rk_mul(a, b, p: int, k: int) -> list[int]:
+    # the product of two R_k elements given by their k digits
+    out = [0] * k
+    for s, x in enumerate(a):
+        if x:
+            for t in range(k - s):
+                out[s + t] += x * b[t]
+    return [c % p for c in out]
+
+
+def _rk_inverse(c, p: int, k: int) -> list[int]:
+    # the inverse of a unit of R_k given by its k digits, solved digit by
+    # digit from c * d = 1: d_0 = c_0^-1, d_m = -d_0 * sum_(s=1..m) c_s d_(m-s)
+    d = [pow(c[0], -1, p)]
+    for m in range(1, k):
+        d.append(-d[0] * sum(c[s] * d[m - s] for s in range(1, m + 1)) % p)
+    return d
+
+
+_new = object.__new__  # RkPoly._of fills the slots itself

@@ -33,7 +33,12 @@ __all__ = ["main", "entry", "parse_fp_poly", "format_fp_poly",
 
 # -- polynomial string grammar -------------------------------------------
 
-_TERM = re.compile(r"([+-]?)(?:(\d+)(?:\*(?=x))?)?(x(?:\^(\d+))?)?\Z")
+# a term is a sign, then a coefficient, an x (with its exponent) or both:
+# the groups (sign, coefficient, x, exponent) of _TERM; a polynomial is
+# terms joined by signs
+_ONE_TERM = r"(?=[\dx])(\d*)(?:(?<=\d)\*(?=x))?(x(?:\^(\d+))?)?"
+_TERM = re.compile(rf"([+-]?){_ONE_TERM}")
+_POLY = re.compile(rf"[+-]?{_ONE_TERM}(?:[+-]{_ONE_TERM})*\Z")
 
 
 def parse_fp_poly(text: str, p: int, n: int) -> FpPoly:
@@ -46,22 +51,14 @@ def parse_fp_poly(text: str, p: int, n: int) -> FpPoly:
         return FpPoly.zero(p)
     if re.search(r"[+-]([+-]|\Z)", s):  # the term split below would drop that sign
         raise ValueError(f"sign without a term in {text!r}")
-    coeffs: dict[int, int] = {}
-    for part in re.findall(r"[+-]?[^+-]+", s):
-        m = _TERM.fullmatch(part)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"bad polynomial term {part!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        c = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(3) is None:
-            e = 0
-        else:
-            e = int(m.group(4)) if m.group(4) is not None else 1
-        e %= n  # x^n = 1: the dense list never outgrows n
-        coeffs[e] = coeffs.get(e, 0) + sign * c
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
+    if not _POLY.match(s):  # then one of the sign-led parts is not a term
+        bad = next(part for part in re.findall(r"[+-]?[^+-]+", s)
+                   if not _TERM.fullmatch(part))
+        raise ValueError(f"bad polynomial term {bad!r}")
+    out = [0] * n  # x^n = 1: exponents fold, so the dense list never outgrows n
+    for sign, c, x, e in _TERM.findall(s):
+        e = (int(e) if e else 1) % n if x else 0
+        out[e] += -int(c or 1) if sign == "-" else int(c or 1)
     return FpPoly(out, p)
 
 
@@ -176,22 +173,29 @@ def build_report(code: CyclicCode, distance_mode: str = "auto",
 
 
 def _dumps_report(rep: dict) -> str:
-    """`json.dumps(rep, indent=2)`, with the digit lists of the code's
-    generators filled into one format template, once per generator.
+    """`json.dumps(rep, indent=2)`, with the digit lists of the tower and of
+    the code's generators filled into format templates.
 
     An indent makes `json` take its pure-Python encoder, which would visit
-    every one of those k*n digits per generator.  The template's indents are
-    those of the lists' depth in the report: rep["code"]["generators"].
+    every digit of those lists.  Each list is dumped as a placeholder string
+    instead, and the placeholders are replaced in report order.  The
+    templates' indents are those of the lists' depth in the report:
+    rep["tower"][i]["coeffs"] (never empty, as g_i divides x^n - 1) and
+    rep["code"]["generators"].
     """
     code = rep["code"]
-    if not code["generators"]:
-        return json.dumps(rep, indent=2)
-    digits = "        [\n" + ",\n".join(["          %d"] * code["k"]) + "\n        ]"
-    template = "      [\n" + ",\n".join([digits] * code["n"]) + "\n      ]"
-    gens = ",\n".join(template % tuple(itertools.chain.from_iterable(g))
-                      for g in code["generators"])
-    text = json.dumps({**rep, "code": {**code, "generators": "\0"}}, indent=2)
-    return text.replace('"\\u0000"', "[\n" + gens + "\n    ]", 1)
+    fills = ["[\n        " + ",\n        ".join(map(str, t["coeffs"])) + "\n      ]"
+             for t in rep["tower"]]
+    tower = [{**t, "coeffs": "\0"} for t in rep["tower"]]
+    if code["generators"]:
+        digits = "        [\n" + ",\n".join(["          %d"] * code["k"]) + "\n        ]"
+        template = "      [\n" + ",\n".join([digits] * code["n"]) + "\n      ]"
+        gens = ",\n".join(template % tuple(itertools.chain.from_iterable(g))
+                          for g in code["generators"])
+        fills.append("[\n" + gens + "\n    ]")
+        code = {**code, "generators": "\0"}
+    parts = json.dumps({**rep, "tower": tower, "code": code}, indent=2).split('"\\u0000"')
+    return "".join(itertools.chain.from_iterable(zip(parts, fills))) + parts[-1]
 
 
 def _print_report_text(rep: dict, out):

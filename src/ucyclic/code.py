@@ -4,9 +4,11 @@ A code is pinned down by its footprint: the reduced row echelon basis of the
 code viewed as an F_p-subspace of F_p^(kn), with coordinate i, layer j in
 column i*k + j.  The footprint is canonical, so it is the equality and
 hashing key; the stored generator list is presentation only, and a code
-built from rows (such as a dual) has none.  Every construction checks closure
-of the footprint under the cyclic shift (x-multiplication) and under
-u-multiplication.  Every F_p elimination runs through `_echelon`, which visits the
+built from rows (such as a dual) has none.  A footprint must be closed under
+the cyclic shift (x-multiplication) and under u-multiplication.  `from_rows`,
+which accepts arbitrary rows, checks that; `code_from_generators` and `dual`
+build ideals by theorem, stated in their docstrings, and check nothing
+again.  Every F_p elimination runs through `_echelon`, which visits the
 columns layer-major, highest degree first.  That order proves the structure
 read off the footprint: the last row pivoting in layer i is the canonical
 lifted generator of level i, and its layer i is the torsion generator g_i
@@ -67,8 +69,11 @@ def _layer_reversal(n: int, k: int) -> list[int]:
 def _echelon(params: PrimeParams, rows) -> tuple[np.ndarray, list[int]]:
     """RREF of the rows with the columns visited layer-major, highest degree
     first; R keeps the i*k + j layout and the pivots, in visit order, are
-    natural column indices.  The RREF for a fixed column order is unique."""
+    natural column indices.  The RREF for a fixed column order is unique.
+    A stack with no rows has the empty footprint, with no elimination."""
     k, n = params.k, params.n
+    if len(rows) == 0:
+        return np.zeros((0, k * n), dtype=np.int64), []
     order, inverse = _visit_order(k, n)
     M = np.asarray(rows, dtype=np.int64).reshape(len(rows), k * n)[:, order]  # one copy
     E, piv = linalg.rref(M, params.p)
@@ -143,7 +148,7 @@ class TorsionTower:
     @property
     def generator(self) -> RkPoly:
         """sum u^i g_i mod x^n - 1, which generates the code when gcd(n, p) = 1."""
-        return RkPoly(self.gens, self.params).mod_xn()
+        return RkPoly._of(self.gens, self.params).mod_xn()
 
 
 class CyclicCode:
@@ -228,7 +233,7 @@ class CyclicCode:
         `structure.canonical_form` for why the column order proves all four.
         """
         last = self._last_rows()
-        return tuple(RkPoly.from_vector(self.footprint[last[i]].tolist(), self.params)
+        return tuple(RkPoly._from_digits(self.footprint[last[i]].tolist(), self.params)
                      if i in last else None for i in range(self.params.k))
 
     def torsion_tower(self) -> TorsionTower:
@@ -239,7 +244,7 @@ class CyclicCode:
         # g_i is layer i of the last row pivoting in layer i; the checks below
         # are that reading's hypotheses for a code built without closure checks
         F, last = self.footprint, self._last_rows()
-        gens = [FpPoly(F[last[i], i::k].tolist(), p) if i in last else xn1
+        gens = [FpPoly._of(F[last[i], i::k].tolist(), p) if i in last else xn1
                 for i in range(k)]
         for i in range(k - 1):
             if not (gens[i] % gens[i + 1]).is_zero:
@@ -261,10 +266,15 @@ class CyclicCode:
         dot product of v with c's layers reversed inside each coordinate
         block, so the dual is the F_p-nullspace of the footprint, read off
         its echelon form, with the columns permuted by that (involutive) reversal.
+
+        The result is an ideal by theorem, so its closure is not checked: the
+        inner product is R_k-bilinear and invariant under shifting both
+        arguments cyclically, so v . (u c) = u (v . c) and (x v) . c =
+        v . (x^(n-1) c) vanish for v in the dual and c in the ideal.
         """
         rows = linalg.nullspace(self.footprint, self.pivots, self.params.p)
         rows = rows[:, _layer_reversal(self.params.n, self.params.k)]
-        return CyclicCode.from_rows(self.params, rows)
+        return CyclicCode(self.params, (), *_echelon(self.params, rows))
 
     def is_self_dual(self) -> bool:
         """C = C^perp without building the dual: R_k is Frobenius, so dim C^perp
@@ -315,22 +325,21 @@ def code_from_generators(params: PrimeParams, gens) -> CyclicCode:
     The footprint spans {x^i * u^j * g : i < n, j < k, g in gens}.  When
     gcd(n, p) = 1 it is written down from the torsion tower (`_tabulate`),
     with no elimination; otherwise it is built by doubling (`_eliminate`).
-    Either way the closure under x and u is checked.
+    Either way the result is an ideal by theorem, so its closure under x and
+    u is not checked again: `_tabulate` and `_eliminate` state the proofs.
     """
     return _generated(params, gens, _tabulate if params.coprime else _eliminate)
 
 
 def _generated(params: PrimeParams, gens, build) -> CyclicCode:
     # the code of the generators reduced mod x^n - 1, with the footprint
-    # build(params, reduced) and its closure checked
+    # build(params, reduced), an ideal by the theorem in build's docstring
     reduced = []
     for g in gens:
         if g.params != params:
             raise ValueError("parameter mismatch among generators")
         reduced.append(g.mod_xn())
-    code = CyclicCode(params, reduced, *build(params, reduced))
-    code._assert_closed()
-    return code
+    return CyclicCode(params, reduced, *build(params, reduced))
 
 
 def _eliminate(params: PrimeParams, reduced) -> tuple[np.ndarray, list[int]]:
@@ -343,6 +352,12 @@ def _eliminate(params: PrimeParams, reduced) -> tuple[np.ndarray, list[int]]:
     echelon form into it (`_extend`).  The loop stops at the first step that
     adds no pivot: V_2m = V_m means x^m V_m lies in V_m, so x^2m V_m lies in
     x^m V_m and in V_m, and no later step can grow it.
+
+    The span is an ideal.  The stack holds every u-multiple, and x^i and u^j
+    commute, so V is closed under u.  It is closed under x: when the loop
+    ends at m >= n, V_m holds x^i g for every i, and x^n = 1; when it stops
+    early, x^m V_m lies in V_m, and V_m holds x^i g for i < m, so x V_m,
+    spanned by x^i g for 1 <= i <= m, lies in V_m.
     """
     k, n = params.k, params.n
     rows = _u_multiples(linalg.as_matrix([g.to_vector() for g in reduced], k * n, params.p), n, k)
@@ -378,7 +393,9 @@ def _tabulate(params: PrimeParams, reduced) -> tuple[np.ndarray, list[int]]:
     x^e - (x^e mod g_j) for e = n - 1 down to deg g_j.  Row e has its pivot
     at degree e and its other entries below degree deg g_j, where the layer
     has no pivot, so the rows are already reduced; and the reduced echelon
-    form for a fixed column order is unique.
+    form for a fixed column order is unique.  The tabulated span is the ideal
+    sum of u^j <g_j>: u maps u^j <g_j> into u^(j+1) <g_j>, which lies in
+    u^(j+1) <g_(j+1)> since g_(j+1) divides g_j, and x maps each <g_j> into itself.
     """
     p, k, n = params.p, params.k, params.n
     g, above, blocks = FpPoly.xn_minus_1(n, p), None, []

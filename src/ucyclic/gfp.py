@@ -2,7 +2,16 @@
 
 Polynomials are immutable coefficient tuples, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple and its degree is the
-sentinel NEG_INF, which orders below every integer.  Beyond ring arithmetic
+sentinel NEG_INF, which orders below every integer.
+
+Trusted digits: the public constructor `FpPoly(coeffs, p)` normalises any
+integers (CLI input, numpy scalars, negative numbers, numbers >= p) to Python
+ints in [0, p).  Everything the module computes is already reduced, so every
+arithmetic result is built by `FpPoly._of`, which strips trailing zeros and
+checks nothing else; it must never see numpy scalars, since equality and
+hashing read the tuple.  Products, divisions and folds mod x^n - 1 add
+unreduced Python ints and reduce each output digit once (a division also
+reduces each row's leading digit).  Beyond ring arithmetic
 the module factors x^n - 1 (cyclotomic split, then Cantor-Zassenhaus
 equal-degree factorization of each cyclotomic polynomial whose factor degree
 ord_d(p) is known in advance), enumerates its monic divisor lattice, and
@@ -12,7 +21,6 @@ enumeration of its codewords.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -71,7 +79,11 @@ class PrimeParams:
 
 
 class FpPoly:
-    """Dense polynomial over F_p, stored lowest degree first."""
+    """Dense polynomial over F_p, stored lowest degree first.
+
+    `FpPoly(coeffs, p)` normalises any integers (numpy scalars, negative
+    numbers, numbers >= p); `FpPoly._of(digits, p)` trusts them.
+    """
 
     __slots__ = ("coeffs", "p")
 
@@ -83,24 +95,36 @@ class FpPoly:
         self.p = p
 
     @classmethod
+    def _of(cls, digits, p: int) -> "FpPoly":
+        """The polynomial of Python ints already in [0, p), lowest degree
+        first; trailing zeros are stripped and nothing else is checked."""
+        end = len(digits)
+        while end and not digits[end - 1]:
+            end -= 1
+        f = _new(cls)
+        f.coeffs = tuple(digits[:end])
+        f.p = p
+        return f
+
+    @classmethod
     def zero(cls, p: int) -> "FpPoly":
-        return cls((), p)
+        return cls._of((), p)
 
     @classmethod
     def one(cls, p: int) -> "FpPoly":
-        return cls((1,), p)
+        return cls._of((1,), p)
 
     @classmethod
     def x(cls, p: int) -> "FpPoly":
-        return cls((0, 1), p)
+        return cls._of((0, 1), p)
 
     @classmethod
     def monomial(cls, c: int, e: int, p: int) -> "FpPoly":
-        return cls((0,) * e + (c,), p)
+        return cls._of((0,) * e + (int(c) % p,), p)
 
     @classmethod
     def xn_minus_1(cls, n: int, p: int) -> "FpPoly":
-        return cls((-1,) + (0,) * (n - 1) + (1,), p)
+        return cls._of((p - 1,) + (0,) * (n - 1) + (1,), p)
 
     @property
     def degree(self):
@@ -137,32 +161,39 @@ class FpPoly:
 
     def __add__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        p, a, b = self.p, self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPoly(out, self.p)
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out += a[len(b):]
+        return FpPoly._of(out, p)
 
     def __neg__(self) -> "FpPoly":
-        return FpPoly([-c for c in self.coeffs], self.p)
+        p = self.p
+        return FpPoly._of([p - c if c else 0 for c in self.coeffs], p)
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
+        self._check(other)
+        p, a, b = self.p, self.coeffs, other.coeffs
+        out = [(x - y) % p for x, y in zip(a, b)]
+        if len(a) > len(b):
+            out += a[len(b):]
+        else:
+            out += [p - y if y else 0 for y in b[len(a):]]
+        return FpPoly._of(out, p)
 
     def __mul__(self, other):
+        p = self.p
         if isinstance(other, int):
-            return FpPoly([c * other for c in self.coeffs], self.p)
+            c = other % p
+            return FpPoly._of([x * c % p for x in self.coeffs] if c else (), p)
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return FpPoly.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPoly(out, self.p)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return FpPoly._of((), p)
+        out = [0] * (len(a) + len(b) - 1)
+        _mul_into(out, a, b)
+        return FpPoly._of([s % p for s in out], p)
 
     def __rmul__(self, other: int) -> "FpPoly":
         return self * other
@@ -180,31 +211,38 @@ class FpPoly:
                 base = base * base
         return out
 
-    def __divmod__(self, other: "FpPoly"):
+    def _divmod(self, other: "FpPoly") -> tuple:
+        # quotient and remainder digits of the long division by other
         self._check(other)
         if other.is_zero:
             raise ValueError("zero divisor polynomial")
-        if self.degree < other.degree:
-            return FpPoly.zero(self.p), self
-        p = self.p
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        binv = pow(other.lead, -1, p)
-        q = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
+        p, a, b = self.p, self.coeffs, other.coeffs
+        db = len(b) - 1
+        if len(a) <= db:
+            return (), a
+        # a step reduces only the top digit of rem; the digits below collect
+        # one unreduced product per step and are reduced once at the end
+        rem = list(a)
+        low = b[:-1]
+        binv = pow(b[-1], -1, p)
+        q = [0] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem[i] % p
             if c:
-                f = (c * binv) % p
+                f = c if binv == 1 else c * binv % p
                 q[i - db] = f
-                for j, b in enumerate(other.coeffs):
-                    rem[i - db + j] = (rem[i - db + j] - f * b) % p
-        return FpPoly(q, p), FpPoly(rem[:db], p)
+                rem[i - db:i] = [r - f * y for r, y in zip(rem[i - db:i], low)]
+        return q, [r % p for r in rem[:db]]
+
+    def __divmod__(self, other: "FpPoly"):
+        q, r = self._divmod(other)
+        return FpPoly._of(q, self.p), FpPoly._of(r, self.p)
 
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[0]
+        return FpPoly._of(self._divmod(other)[0], self.p)
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[1]
+        return FpPoly._of(self._divmod(other)[1], self.p)
 
     def monic(self) -> "FpPoly":
         if self.is_zero or self.lead == 1:
@@ -215,22 +253,35 @@ class FpPoly:
         """Multiply by x^e."""
         if self.is_zero:
             return self
-        return FpPoly((0,) * e + self.coeffs, self.p)
+        return FpPoly._of((0,) * e + self.coeffs, self.p)
 
     def mod_xn_minus_1(self, n: int) -> "FpPoly":
         """Reduce modulo x^n - 1 by folding x^n down to 1."""
-        if len(self.coeffs) <= n:
+        cs = self.coeffs
+        if len(cs) <= n:
             return self
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i % n] = (out[i % n] + c) % self.p
-        return FpPoly(out, self.p)
+        out = list(cs[:n])
+        for s in range(n, len(cs), n):
+            chunk = cs[s:s + n]
+            out[:len(chunk)] = [x + y for x, y in zip(out, chunk)]
+        p = self.p
+        return FpPoly._of([x % p for x in out], p)
 
-    def padded(self, n: int) -> list[int]:
-        """Coefficients as a length-n list; requires degree < n."""
-        if len(self.coeffs) > n:
-            raise ValueError("degree too large for padding")
-        return list(self.coeffs) + [0] * (n - len(self.coeffs))
+
+_new = object.__new__  # FpPoly._of fills the slots itself
+
+
+def _mul_into(out: list, a, b):
+    """Add the integer product of the digit sequences a and b into out,
+    unreduced: one pass over the longer per nonzero digit of the shorter.
+    Each sum grows by below p^2 per term; the caller reduces every digit of
+    out once."""
+    if len(a) < len(b):
+        a, b = b, a
+    la = len(a)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + la] = [s + x * y for s, x in zip(out[j:j + la], a)]
 
 
 def poly_xgcd(a: FpPoly, b: FpPoly) -> tuple[FpPoly, FpPoly, FpPoly]:
@@ -377,18 +428,12 @@ def divisors_xn_minus_1(params: PrimeParams) -> list[FpPoly]:
         count *= e + 1
     if count > DIVISOR_CAP:
         raise ValueError(f"divisor lattice too large: {count} divisors exceed cap {DIVISOR_CAP}")
-    pows = []
-    for q, e in facs:
-        acc = [FpPoly.one(params.p)]
+    divs = [FpPoly.one(params.p)]
+    for q, e in facs:  # the divisors so far, times each power of q up to q^e
+        powers = [divs]
         for _ in range(e):
-            acc.append(acc[-1] * q)
-        pows.append(acc)
-    divs = []
-    for combo in itertools.product(*(range(len(ps)) for ps in pows)):
-        d = FpPoly.one(params.p)
-        for ps, e in zip(pows, combo):
-            d = d * ps[e]
-        divs.append(d)
+            powers.append([d * q for d in powers[-1]])
+        divs = [d for ds in powers for d in ds]
     divs.sort(key=lambda f: (f.degree, f.coeffs))
     return divs
 
@@ -407,5 +452,6 @@ def fp_cyclic_min_weight(gen: FpPoly, params: PrimeParams,
     if not (xn1 % gen).is_zero:
         raise ValueError("generator must divide x^n - 1")
     dim = n - gen.degree
-    rows = [gen.shift(j).padded(n) for j in range(dim)]
+    c = list(gen.coeffs)
+    rows = [[0] * j + c + [0] * (dim - 1 - j) for j in range(dim)]
     return linalg.min_nonzero_weight(rows, p, group=1, budget=budget)

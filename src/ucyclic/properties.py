@@ -110,7 +110,7 @@ def eliminated_code(params: PrimeParams, gens) -> CyclicCode:
 
 def random_fp_poly(rng: random.Random, params: PrimeParams, nonzero=False) -> FpPoly:
     while True:
-        f = FpPoly([rng.randrange(params.p) for _ in range(params.n)], params.p)
+        f = FpPoly._of([rng.randrange(params.p) for _ in range(params.n)], params.p)
         if not nonzero or not f.is_zero:
             return f
 
@@ -121,7 +121,7 @@ def random_rk_poly(rng: random.Random, params: PrimeParams) -> RkPoly:
     layers.append(random_fp_poly(rng, params, nonzero=True))
     for _ in range(val + 1, params.k):
         layers.append(random_fp_poly(rng, params))
-    return RkPoly(layers, params)
+    return RkPoly._of(layers, params)
 
 
 def random_code(rng: random.Random, params: PrimeParams) -> CyclicCode:
@@ -171,7 +171,7 @@ def random_unit(rng: random.Random, params: PrimeParams) -> RkPoly:
         if poly_gcd(f0, xn1) == FpPoly.one(params.p):
             break
     layers = [f0] + [random_fp_poly(rng, params) for _ in range(params.k - 1)]
-    return RkPoly(layers, params)
+    return RkPoly._of(layers, params)
 
 
 # -- checks ----------------------------------------------------------------

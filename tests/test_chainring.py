@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ucyclic.chainring import RkElem, RkPoly
@@ -171,3 +172,132 @@ class TestVectors:
         pp = PrimeParams(3, 2, 3)
         f = rpoly([[1, 2], [0, 0, 1]], pp)  # 1 + 2x + u*x^2
         assert f.to_vector() == [1, 0, 2, 0, 0, 1]
+
+
+# -- the lean layer against a slow reference ---------------------------------
+
+LEAN_PS = [2, 3, 5, 7, 65521]
+
+
+def as_terms(f):
+    # {(degree, layer): digit} of an RkPoly, read through its public layers
+    return {(i, j): c for j, l in enumerate(f.ulayers) for i, c in enumerate(l.coeffs) if c}
+
+
+def from_terms(terms, params):
+    out = [[0] * (1 + max([i for i, _ in terms] or [-1])) for _ in range(params.k)]
+    for (i, j), c in terms.items():
+        out[j][i] = c
+    return RkPoly(out, params)
+
+
+def slow_rk_mul(a, b, params):
+    # x^i u^s times x^j u^t is x^(i+j) u^(s+t), zero once s + t >= k; every
+    # term reduced as it is added
+    p, k = params.p, params.k
+    out = {}
+    for (i, s), x in as_terms(a).items():
+        for (j, t), y in as_terms(b).items():
+            if s + t < k:
+                out[i + j, s + t] = (out.get((i + j, s + t), 0) + x * y) % p
+    return from_terms(out, params)
+
+
+def random_lean_params(rng, p):
+    return PrimeParams(p, rng.randint(1, 8), rng.randint(1, 64))
+
+
+def random_rk(rng, params, length):
+    return RkPoly([[rng.randrange(params.p) for _ in range(rng.randint(0, length))]
+                   for _ in range(params.k)], params)
+
+
+def random_unit_leading(rng, params, degree):
+    # random layers of degree <= degree, layer 0 of degree exactly `degree`
+    # with a lead other than 1 when p > 2, so the leading coefficient is a
+    # unit that is not 1
+    p = params.p
+    layers = [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(params.k)]
+    layers[0][degree] = rng.randrange(2, p) if p > 2 else 1
+    if params.k > 1 and degree >= 0:
+        layers[1][degree] = rng.randrange(1, p)  # a nilpotent part in the lead
+    return RkPoly(layers, params)
+
+
+class TestLeanRkPoly:
+    """`RkPoly` arithmetic through the trusted constructors, against
+    references that reduce every term, up to k = 8, n = 64, p = 65521."""
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_mul_matches_reference(self, p):
+        rng = random.Random(5000 + p)
+        for trial in range(12):
+            pp = random_lean_params(rng, p)
+            length = min(pp.n, 12) if trial % 2 else pp.n
+            a, b = random_rk(rng, pp, length), random_rk(rng, pp, length)
+            assert a * b == slow_rk_mul(a, b, pp)
+            assert a.mul_mod(b) == slow_rk_mul(a, b, pp).mod_xn()
+            c = RkElem([rng.randrange(p) for _ in range(pp.k)], pp)
+            assert a * c == a.scale(c) == slow_rk_mul(a, RkPoly([[d] for d in c.layers], pp), pp)
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_add_sub_neg_match_layerwise(self, p):
+        rng = random.Random(6000 + p)
+        for _ in range(20):
+            pp = random_lean_params(rng, p)
+            a, b = random_rk(rng, pp, pp.n), random_rk(rng, pp, pp.n)
+            assert (a + b).ulayers == tuple(x + y for x, y in zip(a.ulayers, b.ulayers))
+            assert (a - b).ulayers == tuple(x - y for x, y in zip(a.ulayers, b.ulayers))
+            assert a - b == a + (-b) and (a - a).is_zero
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_divmod_identity(self, p):
+        # a = q b + r with deg r < deg b, for unit-leading b; q and r are
+        # unique, so this pins the division
+        rng = random.Random(7000 + p)
+        for trial in range(25):
+            pp = random_lean_params(rng, p)
+            a = random_rk(rng, pp, 2 * pp.n - 1)
+            b = random_unit_leading(rng, pp, rng.randint(0, pp.n))
+            q, r = divmod(a, b)
+            assert slow_rk_mul(q, b, pp) + r == a
+            assert r.degree < b.degree
+            assert a // b == q and a % b == r
+            assert b.divides(a) == r.is_zero
+            assert b.divides(slow_rk_mul(a, b, pp))
+
+    def test_divmod_inverts_the_lead(self):
+        # (2 + u) x + 1 over R_2 = Z_3[u]/(u^2) has the lead inverse 2 + 2u
+        pp = PrimeParams(3, 2, 4)
+        b = rpoly([[1, 2], [0, 1]], pp)
+        a = rpoly([[0, 0, 1]], pp)  # x^2
+        q, r = divmod(a, b)
+        assert b * q + r == a and r.degree < 1
+        assert q.lead_coeff() == RkElem((2, 2), pp)
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_public_constructor_normalises_to_the_trusted_form(self, p):
+        rng = random.Random(8000 + p)
+        for _ in range(20):
+            pp = random_lean_params(rng, p)
+            digits = [rng.randrange(p) for _ in range(pp.k * pp.n)]
+            trusted = RkPoly._from_digits(digits, pp)
+            wild = np.array(digits, dtype=np.int64) + p * np.array(
+                [rng.randint(-2, 2) for _ in digits], dtype=np.int64)
+            for f in (RkPoly.from_vector(wild, pp),
+                      RkPoly([wild[j::pp.k] for j in range(pp.k)], pp),
+                      RkPoly([FpPoly(wild[j::pp.k], p) for j in range(pp.k)], pp)):
+                assert f == trusted and hash(f) == hash(trusted)
+                assert all(type(c) is int for l in f.ulayers for c in l.coeffs)
+            assert trusted.to_vector() == digits
+
+    def test_trusted_constructor_takes_layers_as_given(self):
+        pp = PrimeParams(5, 3, 4)
+        layers = [FpPoly([1, 2], 5), FpPoly.zero(5), FpPoly([0, 4], 5)]
+        assert RkPoly._of(layers, pp) == RkPoly(layers, pp)
+        assert RkPoly.from_fp(FpPoly([1, 2], 5), pp, level=2) == RkPoly(
+            [[], [], [1, 2]], pp)
+        with pytest.raises(ValueError, match="modulus"):
+            RkPoly.from_fp(FpPoly([1], 3), pp)
+        with pytest.raises(ValueError, match="u-layers"):
+            RkPoly.from_fp(FpPoly([1], 5), pp, level=3)

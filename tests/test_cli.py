@@ -50,6 +50,28 @@ class TestGrammar:
     def test_parse_reduces_mod_p(self):
         assert parse_fp_poly("4x+5", 3, 8) == FpPoly([2, 1], 3)
 
+    def test_parse_64_terms(self):
+        # one term per degree below n = 64 in every written form, in random
+        # order, some exponents past n (x^n = 1) and repeated degrees summed
+        import random
+        rng = random.Random(64)
+        p, n = 65521, 64
+        want = [0] * n
+        terms = []
+        for e in rng.sample(range(n), n):
+            c = rng.randrange(1, 3 * p)
+            sign = rng.choice("+-")
+            want[e] += c if sign == "+" else -c
+            x = rng.choice([f"x^{e}", f"x^{e + n}", f"x**{e}"]) if e > 1 else ["1", "x"][e]
+            form = rng.choice(["{c}{x}", "{c}*{x}", "{c} {x}"]) if e else "{c}"
+            terms.append(sign + form.format(c=c, x=x))
+        terms.append(f"+x^{2 * n + 3}")
+        want[3] += 1
+        text = " ".join(terms)
+        assert len(terms) == 65
+        assert parse_fp_poly(text, p, n) == FpPoly(want, p)
+        assert parse_fp_poly(text.lstrip("+"), p, n) == FpPoly(want, p)
+
     @pytest.mark.parametrize("bad", ["x^", "y+1", "x^-2", "++", "2^x", "2*", "*x",
                                      "1 2", "x^1 0", "x^ 2", "x ^ 3",
                                      "x ** 3", "x** 1 0", "x+", "x++1", "x--1",

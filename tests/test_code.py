@@ -16,7 +16,8 @@ from ucyclic.code import (CyclicCode, code_from_generators, code_from_json,
                           code_from_json_dict, code_to_json)
 from ucyclic.gfp import BudgetError, FpPoly, PrimeParams, factor_xn_minus_1
 from ucyclic.linalg import InvariantError
-from ucyclic.properties import chain_code, random_chain, random_code, random_params
+from ucyclic.properties import (chain_code, eliminated_code, random_chain, random_code,
+                                random_params)
 from ucyclic.structure import enumerate_coprime
 
 from test_structure import edge_code, mixed_tower_code
@@ -473,15 +474,17 @@ class TestDual:
 
     def test_dual_runs_one_elimination(self, monkeypatch):
         # the nullspace is read off the footprint; only the dual's own
-        # footprint is eliminated
+        # footprint is eliminated, and the zero dual of the whole space not at all
         rng = random.Random(53)
         codes = [random_subcode(rng, PrimeParams(rng.choice([2, 3, 5]), rng.randint(1, 4),
                                                  rng.randint(1, 8))) for _ in range(10)]
-        for code in codes + [edge_code(64, seed=5)]:
+        whole = code_from_generators(P345, [RkPoly.one(P345)])
+        for code in codes + [edge_code(64, seed=5), whole]:
             calls = TestSingleEchelon._count_rref(monkeypatch)
-            code.dual()
-            assert len(calls) == 1
+            dual = code.dual()
+            assert len(calls) == (1 if dual.dim else 0)
             monkeypatch.undo()
+        assert whole.dual().is_zero
 
     def test_nullspace_of_layer_ordered_footprint(self):
         # the footprint's pivots are not ascending, but its pivot columns are
@@ -802,3 +805,41 @@ class TestJson:
         doc = {"p": 3, "k": 1, "n": 5, "generators": [[[2], [1]]]}
         code = code_from_json_dict(doc)
         assert code == code_from_generators(PrimeParams(3, 1, 5), [gen(G1, PrimeParams(3, 1, 5))])
+
+
+class TestClosureByTheorem:
+    """`code_from_generators` (both constructions) and `dual` build ideals by
+    theorem and check no closure themselves; the check holds for what they
+    build across the envelope, and for each code's dual."""
+
+    @staticmethod
+    def _codes(rng):
+        yield edge_code(64, seed=7)  # coprime, kn = 512
+        yield edge_code(63, seed=7)  # 3 | 63, kn = 512
+        big = PrimeParams(65521, 8, 64)  # kn = 512
+        yield code_from_generators(big, random_layered_generators(rng, big))
+        for p in [2, 3, 5, 7, 65521]:
+            for coprime in [True, False]:
+                lengths = [n for n in range(1, 65) if (n % p != 0) == coprime]
+                if not lengths:  # p = 65521 divides no length
+                    continue
+                for _ in range(3):
+                    pp = PrimeParams(p, rng.randint(1, 8), rng.choice(lengths[:16]))
+                    gens = random_layered_generators(rng, pp)
+                    yield code_from_generators(pp, gens)
+                    yield eliminated_code(pp, gens)
+
+    def test_constructions_and_duals_are_closed(self, monkeypatch):
+        checked = []
+        real = CyclicCode._assert_closed
+        monkeypatch.setattr(CyclicCode, "_assert_closed",
+                            lambda code: checked.append(code) or real(code))
+        codes = list(self._codes(random.Random(97)))
+        assert not checked  # the constructions ran no closure check
+        for code in codes:
+            dual = code.dual()
+            assert dual.dim == code.params.k * code.params.n - code.dim
+            real(code)
+            real(dual)
+        assert not checked
+        assert any(c.dim == 0 for c in codes) and any(c.params.k * c.params.n == 512 for c in codes)

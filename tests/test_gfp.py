@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ucyclic
@@ -346,3 +347,155 @@ class TestPolyBasics:
 
     def test_pow(self):
         assert P([2, 1], 3) ** 3 == P([2, 0, 0, 1], 3)  # (x-1)^3 = x^3 - 1 over F_3
+
+
+# -- the lean layer against a slow reference ---------------------------------
+
+LEAN_PS = [2, 3, 5, 7, 65521]
+
+
+def slow_add(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = (out[i] + c) % p
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return out
+
+
+def slow_sub(a, b, p):
+    return slow_add(a, [(-c) % p for c in b], p)
+
+
+def slow_mul(a, b, p):
+    # every term reduced as it is added
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def slow_divmod(a, b, p):
+    # textbook long division: lead^-1 by Fermat, every term reduced
+    a, b = list(a), list(b)
+    while b and b[-1] == 0:
+        b.pop()
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        f = a[i] * inv % p
+        q[i - len(b) + 1] = f
+        for j, y in enumerate(b):
+            a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - f * y) % p
+    return q, a[:len(b) - 1]
+
+
+def slow_mod_xn(a, n, p):
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i % n] = (out[i % n] + c) % p
+    return out
+
+
+def random_digits(rng, p, length, top=None):
+    # length digits in [0, p); the top one is `top` when given
+    digits = [rng.randrange(p) for _ in range(length)]
+    if length and top is not None:
+        digits[-1] = top
+    return digits
+
+
+class TestLeanArithmetic:
+    """`FpPoly` reduces each output digit once and builds results through the
+    trusted constructor `FpPoly._of`; these compare it with references that
+    reduce every term, up to degree 2n - 2 and p = 65521."""
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_ring_operations_match_reference(self, p):
+        rng = random.Random(1000 + p)
+        for trial in range(60):
+            n = 64 if trial < 4 else rng.randint(1, 64)
+            la, lb = rng.randint(0, 2 * n - 1), rng.randint(0, 2 * n - 1)
+            a = random_digits(rng, p, la, top=p - 1 if trial % 3 == 0 else None)
+            b = random_digits(rng, p, lb)
+            A, B = FpPoly(a, p), FpPoly(b, p)
+            assert A + B == FpPoly(slow_add(a, b, p), p)
+            assert A - B == FpPoly(slow_sub(a, b, p), p)
+            assert -A == FpPoly(slow_sub([], a, p), p)
+            assert A * B == FpPoly(slow_mul(a, b, p), p)
+            c = rng.randrange(-2 * p, 2 * p)
+            assert A * c == c * A == FpPoly(slow_mul(a, [c % p], p), p)
+            assert A.mod_xn_minus_1(n) == FpPoly(slow_mod_xn(a, n, p), p)
+            assert A.shift(3) == FpPoly([0, 0, 0] + a, p)
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_divmod_matches_reference(self, p):
+        # divisors of every degree, with leads other than 1 for p > 2
+        rng = random.Random(2000 + p)
+        for trial in range(60):
+            n = rng.randint(1, 64)
+            a = random_digits(rng, p, rng.randint(0, 2 * n - 1))
+            b = random_digits(rng, p, rng.randint(1, n + 1), top=rng.randrange(1, p))
+            q, r = divmod(FpPoly(a, p), FpPoly(b, p))
+            sq, sr = slow_divmod(a, b, p)
+            assert q == FpPoly(sq, p) and r == FpPoly(sr, p)
+            assert FpPoly(a, p) // FpPoly(b, p) == q
+            assert FpPoly(a, p) % FpPoly(b, p) == r
+            assert r.degree < len(b) - 1
+            assert FpPoly(b, p) * q + r == FpPoly(a, p)
+
+    def test_divmod_by_a_non_monic_divisor(self):
+        # x^2 + 2 = (3x + 1)(2x + 1) + 1 over F_5: the lead 2 needs its inverse 3
+        q, r = divmod(FpPoly([2, 0, 1], 5), FpPoly([1, 2], 5))
+        assert q == FpPoly([1, 3], 5) and r == FpPoly([1], 5)
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_pow_and_monic_match_reference(self, p):
+        rng = random.Random(3000 + p)
+        for _ in range(20):
+            a = random_digits(rng, p, rng.randint(1, 12), top=rng.randrange(1, p))
+            e = rng.randint(0, 5)
+            ref = [1]
+            for _ in range(e):
+                ref = slow_mul(ref, a, p)
+            assert FpPoly(a, p) ** e == FpPoly(ref, p)
+            inv = pow(a[-1], p - 2, p)
+            assert FpPoly(a, p).monic() == FpPoly([c * inv for c in a], p)
+
+
+class TestTrustedConstructor:
+    """The public constructor normalises untrusted digits; its results equal
+    and hash like those of the trusted `FpPoly._of`."""
+
+    @pytest.mark.parametrize("p", LEAN_PS)
+    def test_public_normalises_to_the_trusted_form(self, p):
+        rng = random.Random(4000 + p)
+        for _ in range(50):
+            digits = random_digits(rng, p, rng.randint(0, 64))
+            trusted = FpPoly._of(digits + [0] * rng.randint(0, 3), p)
+            wild = [d + p * rng.randint(-3, 3) for d in digits] + [0, p, -2 * p]
+            for coeffs in (wild, np.array(wild, dtype=np.int64), tuple(wild)):
+                f = FpPoly(coeffs, p)
+                assert f == trusted and hash(f) == hash(trusted)
+                assert type(f.coeffs) is tuple
+                assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
+                assert not f.coeffs or f.coeffs[-1] != 0
+
+    def test_numpy_scalars_become_python_ints(self):
+        f = FpPoly(np.array([7, -1, 0], dtype=np.int64), 5)
+        assert f.coeffs == (2, 4) and all(type(c) is int for c in f.coeffs)
+        assert hash(f) == hash(FpPoly._of([2, 4], 5))
+
+    def test_trusted_strips_trailing_zeros(self):
+        assert FpPoly._of([1, 0, 0], 3).coeffs == (1,)
+        assert FpPoly._of((0, 0), 3).is_zero
+        assert FpPoly._of([], 3) == FpPoly.zero(3)
+        assert FpPoly._of((2, 1), 3) == FpPoly([-1, 1], 3)
+
+    def test_constants(self):
+        for p in LEAN_PS:
+            assert FpPoly.xn_minus_1(5, p) == FpPoly([-1, 0, 0, 0, 0, 1], p)
+            assert FpPoly.monomial(-1, 2, p) == FpPoly([0, 0, -1], p)
+            assert FpPoly.monomial(p, 2, p).is_zero
+            assert FpPoly.one(p) == FpPoly([1], p) and FpPoly.x(p) == FpPoly([0, 1], p)
