@@ -18,7 +18,8 @@ elimination and no check beyond the tower's own.  When gcd(n, p) = 1,
 so by the CRT the torsion generators are a chain of gcds of the generators'
 layers, the code is the direct sum of u^j <g_j> over F_p (Dinh and
 Lopez-Permouth, IEEE-IT 2004), and its footprint is written down from that
-tower, one remainder table x^e mod g_j per distinct g_j (`_tabulate`).
+tower, one remainder table x^e mod g_j per distinct g_j (`_tabulate`, with
+the table builder `gfp._remainder_rows` that the torsion search shares).
 When p | n it doubles (`_eliminate`): it keeps its echelon form between
 steps, eliminates only what a step adds (`_extend`) and stops at the first
 step that adds nothing.  The dual is the
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .chainring import RkPoly
-from .gfp import FpPoly, PrimeParams, fp_cyclic_min_weight, poly_gcd
+from .gfp import FpPoly, PrimeParams, _remainder_rows, fp_cyclic_min_weight, poly_gcd
 from .linalg import DEFAULT_BUDGET, InvariantError
 
 __all__ = ["CyclicCode", "TorsionTower", "code_from_generators",
@@ -302,7 +303,9 @@ class CyclicCode:
 
         The weight of the code equals the weight of Tor_(k-1): scaling any
         codeword by a power of u lands in u^(k-1) * Tor_(k-1) without
-        increasing its weight.
+        increasing its weight.  That weight comes from the exact
+        information-set search of `fp_cyclic_min_weight`, whose budget counts
+        all p^(n - deg g_(k-1)) codewords.
         """
         top = self.torsion_tower().gens[-1]
         return fp_cyclic_min_weight(top, self.params, budget=budget)
@@ -414,24 +417,6 @@ def _tabulate(params: PrimeParams, reduced) -> tuple[np.ndarray, list[int]]:
         F[len(pivots):len(pivots) + len(block), j::k] = block
         pivots += range((n - 1) * k + j, (n - 1 - len(block)) * k + j, -k)
     return F, pivots
-
-
-def _remainder_rows(g: FpPoly, n: int, p: int) -> np.ndarray:
-    # x^e - (x^e mod g) for e = n - 1 down to deg g, the rows of an
-    # (n - deg g) x n array: <g>'s reduced echelon form in `_echelon`'s order
-    d = g.degree
-    B = np.zeros((n - d, n), dtype=np.int64)
-    B[np.arange(n - d), np.arange(n - 1, d - 1, -1)] = 1
-    if 0 < d < n:
-        low = [-c % p for c in g.coeffs[:d]]  # x^d mod g
-        rems, r = [], low
-        for _ in range(d, n):
-            rems.append(r)
-            c, r = r[-1], [0] + r[:-1]
-            if c:
-                r = [(a + c * b) % p for a, b in zip(r, low)]
-        B[:, :d] = -np.array(rems[::-1], dtype=np.int64) % p
-    return B
 
 
 def _validate_digits(entry, k: int, p: int) -> list[int]:

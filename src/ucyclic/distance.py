@@ -5,14 +5,15 @@ over F_p.  `top_distance` is the only place that orders the exact methods
 (`analyze --distance-mode auto` and `enumerate` call it).  When n = p^l and
 the top torsion generator is (x-1)^t, t >= 1, the distance is the minimum of
 prod(tau_j + 1) over t <= tau < p^l, tau_j the base-p digits of tau (Massey,
-Costello and Justesen, IEEE-IT 1973); otherwise it searches the torsion code.
+Costello and Justesen, IEEE-IT 1973); otherwise it searches the torsion code
+with the exact information-set search of `gfp.fp_cyclic_min_weight`.
 
 `closed_form_distance` is the paper's law for those codes, read off the
 digits of t alone: a run of q nonzero leading digits contributes prod(b+1)
 over the run, doubled when a nonzero digit survives below the run, and
-t <= p^(l-1) always gives 2.  The exhaustive search refutes it at some p=3
-points, so it answers only when asked for by name.  `product_law_check` tests
-the paper's product law against the exhaustive search the same way.
+t <= p^(l-1) always gives 2.  The exact torsion search refutes it at some
+p=3 points, so it answers only when asked for by name.  `product_law_check`
+tests the paper's product law against the torsion search the same way.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def distance_power_length(p: int, l: int, t_k: int) -> int:
 
 def product_law_check(p: int, l: int, b: int, h: FpPoly,
                         budget: int = DEFAULT_BUDGET) -> tuple[int, int, bool]:
-    """Check the product law d((x^(p^(l-1)) - 1)^b * h) = (b+1) * d(h) by brute force.
+    """Check the product law d((x^(p^(l-1)) - 1)^b * h) = (b+1) * d(h) by the
+    exact torsion search.
 
     h must generate a nonzero proper cyclic code of length p^(l-1); the left
     side lives at length p^l.  Returns (lhs, rhs, equal).
@@ -154,7 +156,8 @@ def _digit_product(tau: int, p: int) -> int:
 def top_distance(g: FpPoly, params: PrimeParams, budget: int) -> tuple[int, str]:
     """Exact distance of the code with monic top torsion generator g, and its
     method: "repeated-root" for n = p^l and g = (x-1)^t, t >= 1, else
-    "torsion", the search over p^(n - deg g) codewords within the budget."""
+    "torsion", the information-set search of `fp_cyclic_min_weight`, whose
+    budget must cover p^(n - deg g) codewords."""
     try:
         p, l, t = _power_length_exponents(g, params.n, "repeated-root distance")
     except ValueError:

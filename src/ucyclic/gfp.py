@@ -15,12 +15,13 @@ reduces each row's leading digit).  Beyond ring arithmetic
 the module factors x^n - 1 (cyclotomic split, then Cantor-Zassenhaus
 equal-degree factorization of each cyclotomic polynomial whose factor degree
 ord_d(p) is known in advance), enumerates its monic divisor lattice, and
-finds the minimum Hamming weight of a cyclic code over F_p by exhaustive
-enumeration of its codewords.
+finds the minimum Hamming weight of a cyclic code over F_p by an exact
+information-set search over its systematic rows (`fp_cyclic_min_weight`).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -438,20 +439,186 @@ def divisors_xn_minus_1(params: PrimeParams) -> list[FpPoly]:
     return divs
 
 
+def _remainders(g: FpPoly, n: int, p: int) -> list:
+    """x^e mod g for e = deg g .. n - 1, g monic: for p = 2 each a Python
+    int whose bit i is the coefficient of x^i, else a list of deg g digits."""
+    d = g.degree
+    rems = []
+    if p == 2:
+        full = int("".join(map(str, reversed(g.coeffs))), 2)
+        r = full ^ (1 << d)  # x^d mod g
+        for _ in range(d, n):
+            rems.append(r)
+            r <<= 1
+            if r >> d:
+                r ^= full
+    elif d == 0:
+        rems = [[] for _ in range(n)]
+    else:
+        low = [-c % p for c in g.coeffs[:d]]  # x^d mod g
+        r = low
+        for _ in range(d, n):
+            rems.append(r)
+            c, r = r[-1], [0] + r[:-1]
+            if c:
+                r = [(a + c * b) % p for a, b in zip(r, low)]
+    return rems
+
+
+def _remainder_rows(g: FpPoly, n: int, p: int) -> np.ndarray:
+    """x^e - (x^e mod g) for e = n - 1 down to deg g, the rows of an
+    (n - deg g) x n array: <g>'s reduced echelon form with the columns
+    visited highest degree first, and a systematic generator matrix of <g>
+    with the identity on the positions deg g .. n - 1."""
+    d = g.degree
+    B = np.zeros((n - d, n), dtype=np.int64)
+    B[np.arange(n - d), np.arange(n - 1, d - 1, -1)] = 1
+    if 0 < d < n:
+        rems = _remainders(g, n, p)[::-1]
+        if p == 2:
+            bits = np.array(rems, dtype=np.uint64)[:, None] >> np.arange(d, dtype=np.uint64)
+            B[:, :d] = bits & np.uint64(1)
+        else:
+            B[:, :d] = -np.array(rems, dtype=np.int64) % p
+    return B
+
+
 def fp_cyclic_min_weight(gen: FpPoly, params: PrimeParams,
                          budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight of the cyclic code over F_p generated by gen.
 
-    Exhaustive: enumerates all p^(n - deg gen) codewords m(x)*gen(x) mod x^n - 1.
+    An exact information-set search (Brouwer-Zimmermann; Zimmermann 1996).
+    With r = deg gen and dim = n - r, the systematic rows x^e - (x^e mod gen),
+    e = r .. n - 1 (`_remainder_rows`), are unit vectors on the positions
+    r .. n - 1.  So a combination with t nonzero coefficients, its info
+    weight, weighs t plus the weight of the same combination of the
+    remainders x^e mod gen (`_remainders`), which the search reads as its
+    words.  A scalar multiple has the same weight, so only the combinations
+    whose first nonzero coefficient is 1 need a visit.
+
+    Any dim cyclically consecutive positions are an information set (a
+    nonzero codeword that vanishes on them rotates to a multiple of gen of
+    degree below r), and rotation keeps weight.  So once every combination
+    of info weight at most t has been visited, a word lighter than all of
+    them has weight at least t + 1 on each of the n windows of dim
+    consecutive positions; each position lies in dim of them, so the word
+    weighs at least n (t + 1) / dim.  The search stops once the best weight
+    b found is at most the ceiling of that, that is, once every info weight
+    up to top = floor((b - 1) dim / n) is visited.  At t = dim the bound
+    exceeds n, so the search is exact.  Info weight 1 is the rows themselves.
+
+    Beyond it the search meets in the middle.  The last rows, dim // 2 of
+    them but at most linalg.BLOCK combinations, are spanned once and sorted
+    by info weight (`_span`).  Round w pairs the combinations of w of the
+    other rows whose first coefficient is 1 (`_lead_one`) with the spanned
+    words of info weight at most top - w (`_lightest`), at most
+    linalg.BLOCK pairs at a time; the rounds end after top, which only
+    falls as b does.  The spanned words of an info weight are closed under
+    negation, so a + s weighs as many as the positions where a and some
+    spanned s of the same info weight differ.  For p = 2 a word is packed
+    into one machine word; otherwise it is a column of residues.
+
+    The remainders to x^n also check that gen divides x^n - 1 (x^n mod gen
+    is 1).  The budget then counts all p^dim codewords, as an exhaustive
+    search would, before the search starts.
     """
     p, n = params.p, params.n
-    xn1 = FpPoly.xn_minus_1(n, p)
-    if gen.is_zero or gen.monic() == xn1:
+    if gen.is_zero or gen.monic() == FpPoly.xn_minus_1(n, p):
         raise ValueError("zero code has no minimum distance")
     gen = gen.monic()
-    if not (xn1 % gen).is_zero:
+    r = gen.degree
+    rems = _remainders(gen, n + 1, p) if r < n else None
+    unit = int(r > 0) if p == 2 else [1, *[0] * (r - 1)][:r]  # 1 mod gen
+    if rems is None or rems.pop() != unit:  # gen divides x^n - 1 iff x^n = 1 mod gen
         raise ValueError("generator must divide x^n - 1")
-    dim = n - gen.degree
-    c = list(gen.coeffs)
-    rows = [[0] * j + c + [0] * (dim - 1 - j) for j in range(dim)]
-    return linalg.min_nonzero_weight(rows, p, group=1, budget=budget)
+    dim = n - r
+    if p ** dim > budget:
+        raise BudgetError(p ** dim, budget)
+    if p == 2:
+        best = 1 + min(x.bit_count() for x in rems)
+        low = np.array(rems, dtype=np.uint64)
+    else:
+        best = 1 + r - max(x.count(0) for x in rems)
+        low = np.array(rems, dtype=np.min_scalar_type(2 * p - 2))  # holds two residues
+    top = (best - 1) * dim // n
+    if top <= 1:
+        return best
+    half = dim // 2
+    while p ** half > linalg.BLOCK:
+        half -= 1
+    spanned, info = _span(low[dim - half:], p)
+    ends = np.searchsorted(info, np.arange(half + 1), side="right").tolist()
+    w = 0
+    while w <= min(top, dim - half):
+        start = 0 if w else 1  # the zero word is no codeword
+        for words in _lead_one(low[:dim - half], w, p):
+            end = ends[min(top - w, half)]
+            if end > start:
+                s = spanned[..., start:end]
+                best = min(best, w + _lightest(words, s, info[start:end], p))
+                top = (best - 1) * dim // n
+        w += 1
+    return best
+
+
+def _span(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every F_p-combination of the rows, as words (`fp_cyclic_min_weight`),
+    and its number of nonzero coefficients, sorted by that number (the zero
+    word first).  Before the sort, entry sum c_i p^i has coefficient c_i on
+    row i."""
+    size = p ** len(rows)
+    words = np.zeros(rows.shape[1:] + (size,), dtype=rows.dtype)
+    info = np.zeros(size, dtype=np.uint8)
+    if p > 2:  # multiples[i, :, c - 1] = c * row i
+        multiples = (rows[:, :, None] * np.arange(1, p) % p).astype(rows.dtype)
+    m = 1
+    for i, row in enumerate(rows):
+        if p == 2:
+            words[m:2 * m] = words[:m] ^ row
+        else:
+            s = words[:, None, :m] + multiples[i, :, :, None]
+            words[:, m:p * m] = np.minimum(s, s - p).reshape(len(row), -1)  # s - p wraps below p
+        info[m:p * m].reshape(p - 1, m)[:] = info[:m] + 1
+        m *= p
+    order = np.argsort(info, kind="stable")
+    return words[..., order], info[order]
+
+
+def _lead_one(rows: np.ndarray, w: int, p: int):
+    """The F_p-combinations of w of the rows whose first coefficient is 1,
+    as words, in arrays of at most linalg.BLOCK (or one support's
+    (p - 1)^(w - 1), when that is more)."""
+    supports = itertools.combinations(range(len(rows)), w)
+    if p == 2:
+        per = linalg.BLOCK
+    else:
+        coefs = np.array(list(itertools.product((1,), *[range(1, p)] * (w - 1))) if w
+                         else [()], dtype=np.int64)
+        per = max(1, linalg.BLOCK // len(coefs))
+    while chunk := list(itertools.islice(supports, per)):
+        picked = rows[np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp,
+                                  count=len(chunk) * w).reshape(len(chunk), w)]
+        if p == 2:
+            yield np.bitwise_xor.reduce(picked, axis=1)
+        else:
+            words = coefs @ picked.astype(np.int64) % p
+            yield words.reshape(-1, rows.shape[1]).T.astype(rows.dtype)
+
+
+def _lightest(words: np.ndarray, spanned: np.ndarray, info: np.ndarray, p: int) -> int:
+    """The least info(s) plus the number of positions where a and s differ,
+    over a in words and s in spanned, at most linalg.BLOCK pairs at a time."""
+    step = min(info.size, linalg.BLOCK)
+    per = max(1, linalg.BLOCK // step)
+    best = None
+    for j in range(0, info.size, step):
+        s, extra = spanned[..., None, j:j + step], info[j:j + step]
+        for i in range(0, words.shape[-1], per):
+            a = words[..., i:i + per, None]
+            if p == 2:
+                differ = np.bitwise_count(a ^ s)
+            else:
+                differ = (a != s).sum(axis=0, dtype=np.uint8)
+            m = int((differ + extra).min())
+            best = m if best is None else min(best, m)
+    return best

@@ -297,8 +297,9 @@ def check_cardinality(rng, trials, budget) -> CheckResult:
 
 
 def check_distance_sweep(rng, trials, budget) -> tuple[CheckResult, CheckResult]:
-    """The closed form against brute force, and brute force non-decreasing in
-    t, over one exhaustive pass: each distance is computed once."""
+    """The closed form against the exact torsion search, and that distance
+    non-decreasing in t, over one pass: each distance is computed once.  The
+    reproducer key `brute` names the searched distance."""
     sweep = CheckResult("distance-closed-form-sweep")
     monotone = CheckResult("distance-monotone-in-t")
     for p in (2, 3):

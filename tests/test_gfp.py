@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ucyclic
-from ucyclic import gfp
+from ucyclic import gfp, linalg
 from ucyclic.gfp import (BudgetError, FpPoly, PrimeParams, divisors_xn_minus_1,
                          factor_xn_minus_1, fp_cyclic_min_weight, is_prime,
                          poly_gcd, poly_xgcd)
@@ -290,6 +290,17 @@ class TestDivisors:
             divisors_xn_minus_1(PrimeParams(193, 1, 64))
 
 
+# named cyclic codes: (p, n, generator coefficients lowest degree first, d)
+NAMED = {
+    # x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1, the [23, 12, 7] Golay code
+    "binary-golay": (2, 23, [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1], 7),
+    # x^5 + x^4 - x^3 + x^2 - 1, the [11, 6, 5] Golay code
+    "ternary-golay": (3, 11, [2, 0, 1, 2, 1, 1], 5),
+    # x^8 + x^7 + x^6 + x^4 + 1, the [15, 7, 5] BCH code
+    "bch-15-7": (2, 15, [1, 0, 0, 0, 1, 0, 1, 1, 1], 5),
+}
+
+
 class TestMinWeight:
     def test_g2_full_weight(self):
         assert fp_cyclic_min_weight(P([1, 1, 1, 1, 1], 3), PrimeParams(3, 1, 5)) == 5
@@ -307,12 +318,97 @@ class TestMinWeight:
 
     @pytest.mark.parametrize("p,n,coeffs", [
         (3, 9, [2, 1]), (2, 7, [1, 1, 0, 1]), (3, 5, [2, 1]), (5, 4, [4, 1]),
+        pytest.param(2, 23, NAMED["binary-golay"][2], id="binary-golay"),
+        pytest.param(3, 11, NAMED["ternary-golay"][2], id="ternary-golay"),
+        pytest.param(2, 15, NAMED["bch-15-7"][2], id="bch-15-7"),
     ])
     def test_against_independent_oracle(self, p, n, coeffs):
         params = PrimeParams(p, 1, n)
         gen = P(coeffs, p)
         assert (FpPoly.xn_minus_1(n, p) % gen).is_zero
         assert fp_cyclic_min_weight(gen, params) == brute_min_weight(gen, params)
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_code_distance(self, name):
+        p, n, coeffs, d = NAMED[name]
+        assert fp_cyclic_min_weight(P(coeffs, p), PrimeParams(p, 1, n)) == d
+
+    def test_every_divisor_against_generator_matrix(self):
+        """The search against the exhaustive `linalg.min_nonzero_weight` on
+        the rows x^j g, j < n - deg g, for every divisor g of x^n - 1 with at
+        most 2^17 codewords, at fixed lengths and at seeded random ones.
+        With dim = n - deg g, m = n // dim windows fit side by side and
+        s = n % dim positions are left over; the cases named below are all hit."""
+        rng = random.Random(23)
+        lengths = [(2, 15), (2, 21), (2, 12), (2, 17), (3, 8), (3, 12), (3, 13),
+                   (5, 6), (7, 8), (13, 7), (65521, 3)]
+        lengths += [(p, rng.randrange(2, 25)) for p in (2, 2, 3, 5)]
+        seen = set()
+        for p, n in lengths:
+            params = PrimeParams(p, 1, n)
+            for g in divisors_xn_minus_1(params)[:-1]:
+                dim = n - g.degree
+                if p ** dim > 1 << 17:
+                    continue
+                rows = [[0] * j + list(g.coeffs) + [0] * (dim - 1 - j) for j in range(dim)]
+                d = fp_cyclic_min_weight(g, params)
+                assert d == linalg.min_nonzero_weight(rows, p), (p, n, g)
+                m, s = divmod(n, dim)
+                seen.update(case for case, hit in [
+                    ("m=1", m == 1), ("m>=2,s=0", m >= 2 and s == 0),
+                    ("m>=2,s>0", m >= 2 and s > 0), ("p|n", n % p == 0),
+                    ("g=1", g.degree == 0), ("deg g=n-1", dim == 1),
+                    ("p=65521,k=1", p == 65521 and dim == 1),
+                    ("past info weight 1", (d - 1) * dim // n >= 2)] if hit)
+        assert seen == {"m=1", "m>=2,s=0", "m>=2,s>0", "p|n", "g=1", "deg g=n-1",
+                        "p=65521,k=1", "past info weight 1"}
+
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_search_parts_in_small_batches(self, monkeypatch, p, block):
+        """`_span`, `_lead_one` and `_lightest` against itertools references,
+        with linalg.BLOCK shrunk so that every batch loop runs many times."""
+        rng = np.random.default_rng(block)
+        r, dtype = 6, np.min_scalar_type(2 * p - 2)
+        rows = rng.integers(0, p, (5, r))
+        packed = rows @ (1 << np.arange(r)) if p == 2 else rows
+        packed = packed.astype(np.uint64 if p == 2 else dtype)
+
+        def words_of(arr):  # one tuple of residues per word
+            if p == 2:
+                return [tuple(int(x) >> i & 1 for i in range(r)) for x in arr]
+            return [tuple(int(v) for v in col) for col in arr.T]
+
+        def combo(coefs):
+            return tuple(int(v) for v in np.array(coefs) @ rows % p)
+
+        monkeypatch.setattr(linalg, "BLOCK", block)
+        spanned, info = gfp._span(packed[:3], p)
+        every = {c: sum(map(bool, c)) for c in itertools.product(range(p), repeat=3)}
+        assert sorted(zip(words_of(spanned), info.tolist())) == sorted(
+            (combo(list(c) + [0, 0]), w) for c, w in every.items())
+        assert info.tolist() == sorted(info.tolist())
+        for w in range(4):
+            got = [x for chunk in gfp._lead_one(packed, w, p) for x in words_of(chunk)]
+            want = [combo(c) for c in itertools.product(range(p), repeat=5)
+                    if sum(map(bool, c)) == w and (w == 0 or next(filter(None, c)) == 1)]
+            assert sorted(got) == sorted(want)
+            words = np.concatenate(list(gfp._lead_one(packed, w, p)), axis=-1)
+            best = min(i + sum(x != y for x, y in zip(a, s))
+                       for a in words_of(words) for s, i in zip(words_of(spanned), info.tolist()))
+            assert gfp._lightest(words, spanned, info, p) == best
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 40])
+    def test_small_batches(self, monkeypatch, block):
+        """With linalg.BLOCK shrunk, the spanned half shrinks (to no rows at
+        BLOCK < p) and every batch splits; the answers stay the same."""
+        codes = [(P(c, p), PrimeParams(p, 1, n)) for p, n, c, _ in NAMED.values()]
+        for p, n in [(2, 21), (3, 13), (5, 6), (7, 8)]:
+            params = PrimeParams(p, 1, n)
+            codes += [(g, params) for g in divisors_xn_minus_1(params)[:-1]]
+        expected = [fp_cyclic_min_weight(g, params) for g, params in codes]
+        monkeypatch.setattr(linalg, "BLOCK", block)
+        assert [fp_cyclic_min_weight(g, params) for g, params in codes] == expected
 
     def test_zero_code(self):
         with pytest.raises(ValueError, match="zero code"):

@@ -11,13 +11,17 @@ seed of the plan, one pair runs
     python3 bench/run.py --workload <workload> --seed <seed> --seconds <s> --trace 0
 
 once from each checkout, where <s> is BENCHMARK.json's run_seconds; the side
-that runs first alternates from pair to pair.  The last stdout line of each run is its result.  BENCH_<name>.json, at
-the root of this checkout, gets per workload and end-to-end metric the
-parent's and the change's q1, median and q3 (inclusive quartiles), the
-number of pairs the change won (by the metric's `better` in BENCHMARK.json)
-and every run.  The file is rewritten after each pair, so an interrupted
-run keeps the pairs it finished.  The worktrees are removed at the end.
-Only `bench/run.py` is called; nothing under `bench/` is edited.
+that runs first alternates from pair to pair.  The last stdout line of each
+run is its result; a run whose result is not `correct` or counts `failed`
+requests stops the comparison with exit code 2, naming the workload, seed
+and side, since a throughput measured on wrong answers is no measurement.
+BENCH_<name>.json, at the root of this checkout, gets per workload and
+end-to-end metric the parent's and the change's q1, median and q3 (inclusive
+quartiles), the number of pairs the change won (by the metric's `better` in
+BENCHMARK.json) and every run, and a verdict per workload (`verdict`).  The
+file is rewritten after each pair, so an interrupted run keeps the pairs it
+finished.  The worktrees are removed at the end.  Only `bench/run.py` is
+called; nothing under `bench/` is edited.
 """
 
 import argparse
@@ -59,6 +63,18 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
+class WrongAnswers(RuntimeError):
+    """A benchmark run reported answers that are not correct."""
+
+
+def check_result(result: dict, workload: str, seed: int, side: str) -> dict:
+    """The result, unless it is not `correct` or counts failed requests."""
+    if not result.get("correct") or result.get("failed", 0) > 0:
+        raise WrongAnswers(f"{workload} seed {seed} {side}: correct={result.get('correct')}, "
+                           f"failed={result.get('failed')} of {result.get('attempted')}")
+    return result
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced bench/run.py run in the checkout."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -96,11 +112,39 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def verdict(summary: dict, end_to_end: list[dict], claim: str | None = None) -> dict:
+    """Per end-to-end metric of a workload's summary: for the claimed one,
+    the pairs the change won and whether its median beats the parent's by
+    more than the parent's interquartile range (`claim_met` also asks for
+    nine tenths of the pairs); for every other one, the relative change of
+    the medians, signed so that positive is worse, next to its `bound`."""
+    out = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        if name not in summary:
+            continue
+        entry = summary[name]
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        gain = change - parent if spec["better"] == "higher" else parent - change
+        if name == claim:
+            iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
+            out[name] = {"claimed": True, "change_wins": entry["change_wins"],
+                         "pairs": entry["pairs"], "median_gain": gain, "parent_iqr": iqr,
+                         "beyond_parent_iqr": gain > iqr,
+                         "claim_met": gain > iqr and 10 * entry["change_wins"] >= 9 * entry["pairs"]}
+        else:
+            worse = -gain / parent if parent else None
+            out[name] = {"claimed": False, "relative_worsening": worse, "bound": spec["bound"],
+                         "within_bound": worse is not None and worse <= spec["bound"]}
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    claim_workload, _, claim_metric = (args.claim or "").partition(":")
     seconds = spec["run_seconds"]
     out_path = ROOT / f"BENCH_{args.name}.json"
     doc = {
@@ -113,8 +157,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        doc["claim"] = {"workload": workload, "metric": metric}
+        doc["claim"] = {"workload": claim_workload, "metric": claim_metric}
     base = Path(tempfile.mkdtemp(prefix="ab-"))
     checkouts = {side: base / side for side in SIDES}
     try:
@@ -122,17 +165,23 @@ def main(argv=None) -> int:
             git("worktree", "add", "--detach", str(checkouts[side]), revs[side])
         for workload, seeds in args.plan:
             runs = []
-            entry = doc["workloads"][workload] = {"summary": {}, "runs": runs}
+            entry = doc["workloads"][workload] = {"summary": {}, "verdict": {}, "runs": runs}
+            claim = claim_metric if workload == claim_workload else None
             for pair, seed in enumerate(seeds):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = run_bench(checkouts[side], workload, seed, seconds)
+                    result = check_result(run_bench(checkouts[side], workload, seed, seconds),
+                                          workload, seed, side)
                     runs.append({"pair": pair, "side": side, "seed": seed,
                                  "run_seconds": seconds, "result": result})
                     value = result["metrics"]["requests_per_s"]["value"]
                     print(f"{workload} seed {seed} {side}: {value:.2f} requests/s",
                           file=sys.stderr, flush=True)
                 entry["summary"] = summarize(runs, better)
+                entry["verdict"] = verdict(entry["summary"], spec["end_to_end"], claim)
                 out_path.write_text(json.dumps(doc, indent=1) + "\n")
+    except WrongAnswers as exc:
+        print(f"ab: refused: {exc}", file=sys.stderr)
+        return 2
     finally:
         for side in SIDES:
             if checkouts[side].exists():

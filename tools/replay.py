@@ -2,9 +2,9 @@
 
     python3 tools/replay.py --seeds 1 2 3 > answers.txt
 
-Run from the root of a source checkout.  For each request of the four
-benchmark workloads at each seed, in order, `ucyclic.cli.main(argv)` is called
-in-process and one line is printed:
+Run from the root of a source checkout.  For each request of the
+benchmark's workloads (`workloads.WORKLOADS`, in its order) at each seed, in
+order, `ucyclic.cli.main(argv)` is called in-process and one line is printed:
 
     <workload> <seed> <index> <exit code> <sha256 of stdout> <sha256 of stderr>
 
@@ -31,8 +31,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from ucyclic.cli import main  # noqa: E402
-
-WORKLOADS = ("analyze-envelope", "distance-search", "enumerate-sweep", "verify-all")
 
 
 def run(argv):
@@ -61,7 +59,7 @@ def parse_args(argv=None):
 
 def replay(argv=None) -> int:
     args = parse_args(argv)
-    for workload in WORKLOADS:
+    for workload in workloads.WORKLOADS:
         for seed in args.seeds:
             for index, request in enumerate(workloads.requests(workload, seed)):
                 rc, out, err = run(request)
